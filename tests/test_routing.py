@@ -148,6 +148,25 @@ class TestForwardingTable:
                 for s in (1, 2):
                     assert simulate_forwarding(t, table, x, y, s)[-1] == y
 
+    def test_matches_per_destination_disjoint_paths(self):
+        t = random_topology(random.Random(6), 6, 10)
+        q = 3
+        entries = {}
+        for yrel in range(1, t.N):
+            for s, path in enumerate(disjoint_paths(t, yrel, q), 1):
+                entries[(s, yrel)] = path[0]
+        expected = routing.ForwardingTable(d=t.d, q=q, entries=entries).to_csv()
+        assert forwarding_table(t, q).to_csv() == expected
+
+    def test_bad_diversity_rejected_before_bfs(self, cube3, monkeypatch):
+        def no_bfs(t):
+            raise AssertionError("hop_distances ran before q was checked")
+
+        monkeypatch.setattr(routing, "hop_distances", no_bfs)
+        for q in (0, cube3.m + 1):
+            with pytest.raises(ValueError, match="diversity"):
+                forwarding_table(cube3, q)
+
     def test_csv_format(self, cube3):
         table = forwarding_table(cube3, 1)
         lines = table.to_csv().splitlines()

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longhop import gf2, topology
 from longhop.topology import (
@@ -20,6 +22,41 @@ from longhop.topology import (
 )
 
 from conftest import folded_cube, hypercube, random_topology
+
+
+def oracle_hop_distances(t):
+    """Level-synchronous BFS over explicit node ids (frontier x hops, then
+    np.unique); independent of the bitmap BFS in topology.hop_distances."""
+    N = t.N
+    hop_arr = np.array(t.hops, dtype=np.int64)
+    dist = np.full(N, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.array([0], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        cand = np.unique((frontier[:, None] ^ hop_arr).ravel())
+        new = cand[dist[cand] < 0]
+        dist[new] = level
+        frontier = new
+    return dist
+
+
+@st.composite
+def spanning_hopsets(draw):
+    """Random spanning hop sets with d = 1..12, mixing hops that touch only
+    the in-word bits (h < 64), only the word-index bits (h & 63 == 0), or
+    both; unit vectors missing from the span are appended."""
+    d = draw(st.integers(1, 12))
+    top = (1 << d) - 1
+    word = st.integers(1, top)
+    if d > 6:
+        word = st.one_of(word, st.integers(1, 63), st.integers(1, top >> 6).map(lambda w: w << 6))
+    hops = draw(st.lists(word, max_size=2 * d, unique=True))
+    for i in range(d):
+        if gf2.rank(hops + [1 << i]) > gf2.rank(hops):
+            hops.append(1 << i)
+    return build(d, hops)
 
 
 class TestBuild:
@@ -203,6 +240,24 @@ class TestDistances:
                             nxt.append(v)
                 frontier = nxt
             assert np.bincount(np.array(list(dist.values()))).tolist() == base.tolist()
+
+    @settings(max_examples=300)
+    @given(spanning_hopsets())
+    def test_bitmap_bfs_matches_oracle(self, t):
+        dist = topology.hop_distances(t)
+        assert dist.dtype == np.uint8
+        assert dist.tolist() == oracle_hop_distances(t).tolist()
+
+    def test_d20_smoke(self):
+        d = 20
+        rng = random.Random(20)
+        basis = [1 << i for i in range(d)]
+        extras = [w for w in rng.sample(range(1, 1 << d), 2 * 64) if w not in basis]
+        t = build(d, basis + extras[: 64 - d])
+        summary = distances(t)
+        assert sum(summary.histogram) == t.N
+        assert 0 < summary.diameter <= d
+        assert min(summary.histogram) > 0
 
 
 class TestCluster:
