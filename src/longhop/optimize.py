@@ -9,8 +9,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2
-from .topology import CayleyTopology, bisection_fwht
+from .topology import CayleyTopology, _parity_u32, bisection_fwht
 
 __all__ = ["SearchReport", "brute_force_search", "greedy_improve"]
 
@@ -22,10 +24,6 @@ class SearchReport:
     evaluated: int
     method: str
     rounds: int = 0
-
-
-def _score(t: CayleyTopology) -> int:
-    return bisection_fwht(t).b
 
 
 def brute_force_search(
@@ -59,7 +57,7 @@ def brute_force_search(
     evaluated = 0
     for extras in itertools.combinations(pool, m - d):
         t = CayleyTopology(d=d, hops=basis + extras)
-        b = _score(t)
+        b = bisection_fwht(t).b
         evaluated += 1
         if b > best_b:
             best_b = b
@@ -80,53 +78,161 @@ def greedy_improve(
     accepts the first strict improvement in b (the scan order makes the
     accepted set the lexicographically lowest among first improvements).
     Stops at a local optimum or after max_rounds accepted swaps; b never
-    decreases.
+    decreases.  `evaluated` counts the distinct full-rank hop sets scored,
+    the start included.
+
+    Candidates are scored from the Walsh spectrum, a whole batch at a time.
+    Removing hops (and, at width 2, adding the first word w1) leaves cuts c'
+    with minimum b0 over r > 0, reached on the set M.  Adding a word w then
+    gives b = b0 + [parity(r & w) = 1 for every r in M], which is b0 + 1
+    exactly where FWHT(1_M)[w] = -|M|.  So a width-1 neighbourhood costs at
+    most m transforms of length 2**d, a width-2 one at most one per (position
+    pair, first word), and no topology is built per candidate: b >= 1 is
+    the same as full rank.
     """
     if swap_width not in (1, 2):
         raise ValueError(f"swap_width must be 1 or 2, got {swap_width}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    best = start
+    spectrum = bisection_fwht(best)  # refuses d above the spectrum cap
+    b = spectrum.b
     d = start.d
-    basis = {1 << i for i in range(d)}
-    current = start.hops
-    cache: dict[tuple[int, ...], int] = {}
-    evaluated = 0
+    rs = np.arange(1 << d, dtype=np.uint32)
 
-    def score(hops: tuple[int, ...]) -> int:
-        nonlocal evaluated
-        key = tuple(sorted(hops))
-        if key not in cache:
-            cache[key] = _score(CayleyTopology(d=d, hops=hops))
-            evaluated += 1
-        return cache[key]
+    def parity(h: int) -> np.ndarray:
+        return _parity_u32(rs & np.uint32(h))
 
-    b = score(current)
+    evaluated = 1
+    history: list[_Round] = []
     rounds = 0
     while rounds < max_rounds:
-        positions = [i for i, h in enumerate(current) if h not in basis]
-        improved = False
+        current = best.hops
+        in_use = set(current)
+        unused = np.ones(1 << d, dtype=bool)
+        unused[[0, *current]] = False
+        pool = np.flatnonzero(unused)
+        positions = [i for i, h in enumerate(current) if h & (h - 1)]
+        # b rises by at least 1 per round and one swap moves it by at most
+        # swap_width, so only the last swap_width rounds can have scored a
+        # hop set that this round reaches
+        near = history[-swap_width:]
+        # width 1: one batch of every unused word; width 2: one batch per
+        # first word w1, of the unused words above it
+        if swap_width == 1:
+            batches = [((), pool)]
+        else:
+            batches = [((int(w),), pool[i + 1:]) for i, w in enumerate(pool[:-1])]
+        accepted = None
         for pos_combo in itertools.combinations(positions, swap_width):
-            in_use = set(current)
-            pool = [w for w in range(1, 1 << d) if w not in in_use]
-            for repl in itertools.combinations(pool, swap_width):
-                cand = list(current)
-                for p, w in zip(pos_combo, repl):
-                    cand[p] = w
-                if gf2.rank(cand) != d:
-                    continue
-                cand_t = tuple(cand)
-                if score(cand_t) > b:
-                    current = cand_t
-                    b = score(cand_t)
-                    rounds += 1
-                    improved = True
+            removed = [current[p] for p in pos_combo]
+            cuts = spectrum.cuts - sum(parity(h) for h in removed)
+            kept = in_use.difference(removed)
+            for first, ys in batches:
+                batch_cuts = cuts + parity(first[0]) if first else cuts
+                scores = _batch_scores(batch_cuts, ys, b)
+                better = np.flatnonzero(scores > b)
+                stop = int(better[0]) + 1 if better.size else ys.size
+                scored = scores[:stop] >= 1
+                fixed = kept.union(first)
+                if near:
+                    scored &= ~_seen(ys[:stop], fixed, swap_width, near)
+                evaluated += int(scored.sum())
+                if better.size:
+                    accepted = (pos_combo, first + (int(ys[stop - 1]),))
+                    b = int(scores[stop - 1])
                     break
-            if improved:
+            if accepted:
                 break
-        if not improved:
+        if not accepted:
             break
+        history.append(_Round(current, in_use, *accepted))
+        hops = list(current)
+        for p, w in zip(*accepted):
+            hops[p] = w
+        best = CayleyTopology(d=d, hops=tuple(hops))
+        spectrum = bisection_fwht(best)
+        rounds += 1
     return SearchReport(
-        best=CayleyTopology(d=d, hops=current),
+        best=best,
         best_b=b,
         evaluated=evaluated,
         method="greedy",
         rounds=rounds,
     )
+
+
+@dataclass(frozen=True)
+class _Round:
+    """An accepted greedy round: the hop set it started from and the swap it
+    accepted, which is the last candidate it scored."""
+
+    hops: tuple[int, ...]
+    in_use: set[int]
+    positions: tuple[int, ...]
+    words: tuple[int, ...]
+
+    def position_key(self, removed: set[int]) -> tuple[int, ...] | None:
+        """Sorted positions of the removed hops, None if one is a basis word."""
+        if any(not h & (h - 1) for h in removed):
+            return None
+        return tuple(sorted(self.hops.index(h) for h in removed))
+
+
+def _batch_scores(cuts: np.ndarray, ys: np.ndarray, b: int) -> np.ndarray:
+    """b of each hop set made by adding one word of ys to the hops behind cuts.
+
+    When 1 <= b0 < b, every candidate is full rank and none can beat b, so
+    the transform is skipped and all read b0 (the true b is b0 or b0 + 1).
+    """
+    b0 = int(cuts[1:].min())
+    if 1 <= b0 < b:
+        return np.full(ys.size, b0)
+    minimizers = cuts == b0
+    minimizers[0] = False
+    spectrum = gf2.fwht(minimizers)
+    return b0 + (spectrum[ys] == -int(minimizers.sum()))
+
+
+def _seen(ys: np.ndarray, fixed: set[int], width: int, near: list[_Round]) -> np.ndarray:
+    """Mask over ys: True where fixed + {y} was scored in an earlier round.
+
+    A hop set is round R's candidate when it removes `width` non-basis hops
+    `miss` from R.hops and adds `width` words, and R scored it when that
+    swap comes no later than R's accepted one in scan order.  With
+    out = fixed - R.hops, a y outside R.hops needs len(out) == width - 1,
+    and a y inside R.hops needs len(out) == width (or 0: R.hops itself).
+    """
+    seen = np.zeros(ys.size, dtype=bool)
+    for r in near:
+        out = fixed - r.in_use
+        if len(out) > width:
+            continue
+        miss = r.in_use - fixed
+        if len(out) == width - 1:
+            key = r.position_key(miss)
+            if key is not None and key <= r.positions:
+                hit = ~np.isin(ys, list(miss))
+                if key == r.positions:
+                    hit &= _words_le(ys, out, r.words)
+                seen |= hit
+        for y in miss:
+            i = int(np.searchsorted(ys, y))
+            if i == ys.size or ys[i] != y:
+                continue
+            if not out:
+                seen[i] = True
+            elif len(out) == width:
+                key = r.position_key(miss - {y})
+                seen[i] = key is not None and (key, tuple(sorted(out))) <= (
+                    r.positions, r.words)
+    return seen
+
+
+def _words_le(ys: np.ndarray, out: set[int], words: tuple[int, ...]) -> np.ndarray:
+    """Mask over ys: sorted(out + {y}) <= words lexicographically (len(out) < 2)."""
+    if not out:
+        return ys <= words[0]
+    (f,) = out
+    lo, hi = np.minimum(ys, f), np.maximum(ys, f)
+    return (lo < words[0]) | ((lo == words[0]) & (hi <= words[1]))

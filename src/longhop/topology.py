@@ -167,6 +167,20 @@ def _scan_chunk(hops: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
     return acc
 
 
+def _thread_count() -> int:
+    """Threads named by LONGHOP_THREADS; unset or empty means 1."""
+    raw = os.environ.get(THREADS_ENV, "")
+    if not raw:
+        return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
+
+
 def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
     """Exact bisection by direct evaluation of all N-1 Walsh cuts.
 
@@ -177,7 +191,7 @@ def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
     _check_cap(t, max_d)
     N = t.N
     cuts = np.empty(N, dtype=np.int64)
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    threads = _thread_count()
     bounds = list(range(0, N, 1 << 20)) + [N]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if threads > 1 and len(spans) > 1:

@@ -107,6 +107,14 @@ class TestOptimize:
         code, _, err = run(capsys, ["optimize", "-d", "6", "-m", "7"])
         assert code == 1 and "budget" in err
 
+    def test_negative_max_rounds(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["optimize", "-d", "3", "-m", "4", "--method", "greedy", "--max-rounds", "-1"],
+        )
+        assert code == 1 and out == ""
+        assert "max_rounds must be non-negative" in err
+
 
 class TestRoutes:
     def test_shortest(self, capsys, folded3_file):

@@ -1,11 +1,89 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from longhop import codes
-from longhop.optimize import brute_force_search, greedy_improve
+from longhop import gf2
+from longhop.optimize import SearchReport, brute_force_search, greedy_improve
 from longhop.topology import CayleyTopology, bisection_fwht, build
+
+
+def oracle_greedy_improve(start, swap_width=1, max_rounds=100):
+    """Per-candidate greedy: builds and transforms every full-rank candidate,
+    caching b by sorted hop tuple; independent of the Walsh-domain batch
+    scoring in optimize.greedy_improve."""
+    d = start.d
+    basis = {1 << i for i in range(d)}
+    current = start.hops
+    cache: dict[tuple[int, ...], int] = {}
+    evaluated = 0
+
+    def score(hops):
+        nonlocal evaluated
+        key = tuple(sorted(hops))
+        if key not in cache:
+            cache[key] = bisection_fwht(CayleyTopology(d=d, hops=hops)).b
+            evaluated += 1
+        return cache[key]
+
+    b = score(current)
+    rounds = 0
+    while rounds < max_rounds:
+        positions = [i for i, h in enumerate(current) if h not in basis]
+        improved = False
+        for pos_combo in itertools.combinations(positions, swap_width):
+            in_use = set(current)
+            pool = [w for w in range(1, 1 << d) if w not in in_use]
+            for repl in itertools.combinations(pool, swap_width):
+                cand = list(current)
+                for p, w in zip(pos_combo, repl):
+                    cand[p] = w
+                if gf2.rank(cand) != d:
+                    continue
+                cand_t = tuple(cand)
+                if score(cand_t) > b:
+                    current = cand_t
+                    b = score(cand_t)
+                    rounds += 1
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return SearchReport(
+        best=CayleyTopology(d=d, hops=current),
+        best_b=b,
+        evaluated=evaluated,
+        method="greedy",
+        rounds=rounds,
+    )
+
+
+@st.composite
+def greedy_starts(draw, d_range, extra_max):
+    """A spanning hop set in drawn order: d independent words (the unit
+    words only sometimes) plus up to extra_max other words."""
+    d = draw(st.integers(*d_range))
+    hops, span = [], {0}
+    for _ in range(d):
+        w = draw(st.sampled_from([w for w in range(1, 1 << d) if w not in span]))
+        hops.append(w)
+        span |= {s ^ w for s in span}
+    rest = [w for w in range(1, 1 << d) if w not in hops]
+    hops += draw(st.lists(st.sampled_from(rest), max_size=extra_max, unique=True))
+    return build(d, draw(st.permutations(hops)))
+
+
+def assert_same_as_oracle(start, swap_width, max_rounds):
+    got = greedy_improve(start, swap_width=swap_width, max_rounds=max_rounds)
+    want = oracle_greedy_improve(start, swap_width=swap_width, max_rounds=max_rounds)
+    assert (got.best.hops, got.best_b, got.evaluated, got.rounds) == (
+        want.best.hops, want.best_b, want.evaluated, want.rounds)
 
 
 class TestBruteForce:
@@ -104,3 +182,40 @@ class TestGreedy:
     def test_bad_swap_width(self, folded3):
         with pytest.raises(ValueError):
             greedy_improve(folded3, swap_width=3)
+
+    def test_negative_max_rounds(self, folded3):
+        with pytest.raises(ValueError, match="max_rounds"):
+            greedy_improve(folded3, max_rounds=-1)
+
+    @settings(max_examples=120)
+    @given(greedy_starts((3, 7), 6), st.sampled_from([0, 1, 2, 100]))
+    # hop sets that earlier rounds scored come back in later rounds here
+    @example(build(6, [36, 15, 23, 62, 44, 60, 49, 30, 19]), 100)
+    def test_width1_matches_oracle(self, start, max_rounds):
+        assert_same_as_oracle(start, 1, max_rounds)
+
+    @settings(max_examples=40)
+    @given(greedy_starts((3, 5), 3), st.integers(0, 3))
+    @example(build(4, [6, 1, 2, 10, 11, 8, 5]), 3)
+    @example(build(4, [10, 8, 12, 3, 2, 9, 11]), 3)  # round 2 meets round 0's sets
+    @example(build(5, [17, 6, 4, 8, 20, 16]), 3)
+    def test_width2_matches_oracle(self, start, max_rounds):
+        assert_same_as_oracle(start, 2, max_rounds)
+
+    def test_rank_deficient_candidates_skipped(self):
+        # without the unit words every hop can be swapped, and dropping 110
+        # or 011 leaves a rank-2 set, so some candidates are rank deficient
+        start = build(3, [0b110, 0b011, 0b111])
+        assert_same_as_oracle(start, 1, 100)
+        assert_same_as_oracle(start, 2, 3)
+
+    def test_width2_scale(self):
+        # the per-candidate search scores ~2.6M hop sets here (minutes)
+        rng = random.Random(9)
+        basis = [1 << i for i in range(9)]
+        extras = rng.sample([w for w in range(1, 1 << 9) if w not in basis], 7)
+        began = time.perf_counter()
+        report = greedy_improve(build(9, basis + extras), swap_width=2)
+        assert time.perf_counter() - began < 5.0
+        assert report.rounds < 100  # stopped at a local optimum
+        assert bisection_fwht(report.best).b == report.best_b

@@ -180,6 +180,16 @@ class TestBisection:
         monkeypatch.setenv(topology.THREADS_ENV, "1")
         assert (threaded.cuts == bisection_scan(t).cuts).all()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_refused(self, monkeypatch, value):
+        monkeypatch.setenv(topology.THREADS_ENV, value)
+        with pytest.raises(ValueError, match=topology.THREADS_ENV):
+            bisection_scan(hypercube(3))
+
+    def test_empty_thread_count_is_one(self, monkeypatch):
+        monkeypatch.setenv(topology.THREADS_ENV, "")
+        assert bisection_scan(hypercube(3)).b == 1
+
 
 class TestBruteforce:
     def test_folded_cube_links(self, folded3):
