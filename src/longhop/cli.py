@@ -13,6 +13,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
 MAX_LISTED_ARGMIN = 64
@@ -117,6 +119,10 @@ def _cmd_convert(args) -> int:
 
 def _cmd_optimize(args) -> int:
     if args.method == "brute":
+        for name in ("start", "swap_width", "max_rounds"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} applies only to --method greedy")
         report = optimize.brute_force_search(args.d, args.m)
     else:
         if args.start:
@@ -132,8 +138,9 @@ def _cmd_optimize(args) -> int:
             if args.m - args.d > len(pool):
                 raise ValueError(f"no valid start with m={args.m} at d={args.d}")
             start = topology.build(args.d, basis + pool[: args.m - args.d])
-        report = optimize.greedy_improve(
-            start, swap_width=args.swap_width, max_rounds=args.max_rounds
+        given = {name: getattr(args, name) for name in ("swap_width", "max_rounds")}
+        report = optimize.greedy_improve(   # unset flags keep greedy_improve's defaults
+            start, **{name: value for name, value in given.items() if value is not None}
         )
     hops_text = ",".join(gf2.word_to_text(h, report.best.d) for h in report.best.hops)
     lines = [
@@ -242,9 +249,14 @@ def _cmd_verify(args) -> int:
         sample = range(1, t.N)
     else:
         sample = sorted(rng.sample(range(1, t.N), 64))
+    # explicit two-coloring x -> parity(r & x); each edge is seen from both ends
+    x = np.arange(t.N, dtype=np.uint32)
     ok_cut = True
     for r in sample:
-        crossing = sum(1 for u, v in t.edges() if gf2.walsh(r, u) != gf2.walsh(r, v))
+        color = topology._parity_u32(x & np.uint32(r))
+        crossing = sum(
+            int(np.count_nonzero(color != color[x ^ np.uint32(h)])) for h in t.hops
+        ) // 2
         if crossing != topology.cut_walsh(t, r) * (t.N // 2):
             ok_cut = False
             break
@@ -306,8 +318,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-m", type=int, required=True, help="number of hops")
     p.add_argument("--method", choices=["brute", "greedy"], default="brute")
     p.add_argument("--start", default=None, help="hop-set file to start greedy from")
-    p.add_argument("--swap-width", type=int, choices=[1, 2], default=1)
-    p.add_argument("--max-rounds", type=int, default=100)
+    p.add_argument("--swap-width", type=int, choices=[1, 2], default=None,
+                   help="greedy only (default 1)")
+    p.add_argument("--max-rounds", type=int, default=None, help="greedy only (default 100)")
     p.add_argument("-o", "--output", default=None, help="write best hop set to this file")
     p.set_defaults(func=_cmd_optimize)
 

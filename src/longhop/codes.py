@@ -61,25 +61,20 @@ def encode(g: GeneratorMatrix, message: int) -> int:
 
 
 def min_distance(g: GeneratorMatrix, *, limit: int = DEFAULT_EXHAUSTION_LIMIT) -> int:
-    """Minimum nonzero codeword weight, found by exhausting all 2**k - 1
-    nonzero messages with a Gray-code incremental XOR.
-
-    For linear codes this equals the minimum pairwise codeword distance.
-    Refuses (rather than approximates) when k exceeds `limit`.
+    """Minimum nonzero codeword weight, (n - max over u != 0 of alpha[u])/2,
+    with alpha[u] = n - 2 * weight(encode(g, u)) the Walsh spectrum of g's
+    columns in bounded chunks (gf2.spectrum_chunks).  For linear codes this
+    equals the minimum pairwise codeword distance.  Refuses (rather than
+    approximates) when k exceeds `limit`.
     """
     if g.k > limit:
         raise ValueError(
             f"k={g.k} exceeds the exhaustive-search limit {limit}; refusing"
         )
-    best = g.n + 1
-    cw = 0
-    for idx in range(1, 1 << g.k):
-        # bit flipped between successive Gray codes = lowest set bit of idx
-        cw ^= g.rows[(idx & -idx).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best:
-            best = w
-    return best
+    best = -g.n   # every alpha is >= -n; alpha[0] = n is the zero message
+    for u, alphas in enumerate(gf2.spectrum_chunks(gf2.transpose(g.rows, g.n), g.k)):
+        best = max(best, int(alphas[int(u == 0) :].max(initial=best)))
+    return (g.n - best) // 2
 
 
 def change_basis(g: GeneratorMatrix, transform_rows: Sequence[int]) -> GeneratorMatrix:

@@ -23,24 +23,12 @@ def code_to_network(g: GeneratorMatrix) -> CayleyTopology:
     columns (e.g. repetition codes, which correspond to trunked links)
     are rejected because they would need multi-edges or self-loops.
     """
-    hops = []
-    for s in range(g.n):
-        h = 0
-        for i, row in enumerate(g.rows):
-            h |= ((row >> s) & 1) << i
-        hops.append(h)
-    return CayleyTopology(d=g.k, hops=tuple(hops))
+    return CayleyTopology(d=g.k, hops=tuple(gf2.transpose(g.rows, g.n)))
 
 
 def network_to_code(t: CayleyTopology) -> GeneratorMatrix:
     """Inverse of code_to_network; hops become columns in port order."""
-    rows = []
-    for i in range(t.d):
-        row = 0
-        for s, h in enumerate(t.hops):
-            row |= ((h >> i) & 1) << s
-        rows.append(row)
-    return GeneratorMatrix(k=t.d, n=t.m, rows=tuple(rows))
+    return GeneratorMatrix(k=t.d, n=t.m, rows=tuple(gf2.transpose(t.hops, t.d)))
 
 
 def normalize_basis(t: CayleyTopology) -> CayleyTopology:

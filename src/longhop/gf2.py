@@ -2,11 +2,11 @@
 
 A d-bit word is a plain Python int in [0, 2**d); bit mu is the
 coefficient of 2**mu.  Rendered as text, words are written most
-significant bit first.
+significant bit first.  spectrum_chunks is the one Walsh-domain engine.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,11 +15,15 @@ __all__ = [
     "weight",
     "walsh",
     "fwht",
+    "spectrum_chunks",
+    "transpose",
     "rank",
     "column_diagonalize",
     "word_from_text",
     "word_to_text",
 ]
+
+_CHUNK_BITS = 20   # spectrum_chunks yields 2**_CHUNK_BITS entries at most
 
 
 def parity(x: int) -> int:
@@ -41,22 +45,40 @@ def fwht(values: Sequence[int] | np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a length-2**d integer vector.
 
     Returns w with w[r] = sum_x values[x] * (-1)**parity(r & x), computed by
-    the in-place butterfly in exact int64 arithmetic, O(N log N).  Applying
-    it twice multiplies the input by N.
+    an in-place butterfly on a copy with one half-length scratch buffer, in
+    exact int64 arithmetic, O(N log N).  Applied twice it scales by N.
     """
     a = np.array(values, dtype=np.int64)
     n = a.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"fwht length must be a power of two, got {n}")
+    scratch = np.empty(n // 2, dtype=np.int64)
     h = 1
     while h < n:
-        b = a.reshape(-1, 2 * h)
-        lo = b[:, :h].copy()
-        hi = b[:, h:].copy()
-        b[:, :h] = lo + hi
-        b[:, h:] = lo - hi
+        lo, hi = a.reshape(-1, 2, h).transpose(1, 0, 2)
+        diff = np.subtract(lo, hi, out=scratch.reshape(-1, h))
+        lo += hi
+        hi[...] = diff
         h *= 2
     return a
+
+
+def spectrum_chunks(words: Sequence[int], width: int) -> Iterator[np.ndarray]:
+    """Yield alpha[r] = sum_w (-1)**parity(r & w), r = 0 .. 2**width - 1, in
+    ascending int64 chunks of 2**min(width, _CHUNK_BITS): the chunk for the
+    high bits u of r is the fwht of the words' low bits, each word signed by
+    (-1)**parity(u & w_high).  Zero and repeated words are legal."""
+    low = min(width, _CHUNK_BITS)
+    size = 1 << low
+    lows = np.array([w & (size - 1) for w in words], dtype=np.int64)
+    for u in range(1 << (width - low)):
+        odd = np.array([parity(u & (w >> low)) for w in words], dtype=bool)
+        yield fwht(np.bincount(lows[~odd], minlength=size) - np.bincount(lows[odd], minlength=size))
+
+
+def transpose(words: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit i of result j (j < width) is bit j of words[i]."""
+    return [sum(((int(w) >> j) & 1) << i for i, w in enumerate(words)) for j in range(width)]
 
 
 def rank(rows: Iterable[int]) -> int:

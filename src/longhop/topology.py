@@ -211,14 +211,12 @@ def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
 def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
     """Exact bisection via the fast Walsh-Hadamard transform, O(N log N).
 
-    Transforms the hop indicator vector: the transform coefficient at r is
-    the adjacency eigenvalue alpha_r, and cuts follow as (m - alpha_r)/2.
+    The Walsh spectrum of the hop set (gf2.spectrum_chunks) at r is the
+    adjacency eigenvalue alpha_r, and cuts follow as (m - alpha_r)/2.
     Result is identical to bisection_scan.
     """
     _check_cap(t, max_d)
-    f = np.zeros(t.N, dtype=np.int64)
-    f[list(t.hops)] = 1
-    alphas = gf2.fwht(f)
+    alphas = np.concatenate(list(gf2.spectrum_chunks(t.hops, t.d)))
     cuts = (t.m - alphas) // 2
     return _spectrum_from_cuts(cuts, t.m, alphas=alphas)
 
@@ -365,7 +363,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
     used, that minimizes the number of edges crossing the split inside
     the current cells.  Because the cells are cosets of one subspace, that
     count is proportional to the cut restricted to hops that stay inside
-    cells, which is what is minimized here.
+    cells, (|intra| - alpha_r)/2 with alpha their Walsh spectrum.
 
     Returns an array of 2**levels equally populated labels; the level-1
     split is the label's most significant bit.
@@ -384,10 +382,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
         intra = [
             h for h in t.hops if all(((h & u).bit_count() & 1) == 0 for u in used)
         ]
-        cross = np.zeros(N, dtype=np.int64)
-        r_idx = np.arange(N, dtype=np.uint32)
-        for h in intra:
-            cross += _parity_u32(r_idx & np.uint32(h))
+        cross = (len(intra) - np.concatenate(list(gf2.spectrum_chunks(intra, t.d)))) // 2
         cross[list(span)] = sentinel  # r must be independent of earlier splits
         r_star = int(np.argmin(cross))  # argmin takes the smallest such r
         used.append(r_star)

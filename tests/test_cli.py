@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from longhop import topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -103,6 +104,21 @@ class TestOptimize:
         assert code == 0
         assert "best_b: 2" in out and "rounds: 1" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--start", "start.hops"), ("--swap-width", "1"), ("--max-rounds", "-1"),
+        ("--max-rounds", "0"),
+    ])
+    def test_brute_refuses_greedy_flags(self, capsys, flag, value):
+        code, out, err = run(capsys, ["optimize", "-d", "3", "-m", "4", flag, value])
+        assert code == 1 and out == ""
+        assert flag in err
+
+    def test_greedy_defaults(self, capsys):
+        base = ["optimize", "-d", "4", "-m", "6", "--method", "greedy"]
+        code, out, _ = run(capsys, base)
+        assert code == 0
+        assert run(capsys, base + ["--swap-width", "1", "--max-rounds", "100"]) == (0, out, "")
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, ["optimize", "-d", "6", "-m", "7"])
         assert code == 1 and "budget" in err
@@ -168,6 +184,13 @@ class TestFtableClusterVerify:
         assert "scan_vs_fwht: OK" in out
         assert "cut_correspondence: OK" in out
         assert "bruteforce_oracle: OK" in out
+
+    def test_verify_catches_wrong_cut(self, capsys, folded3_file, monkeypatch):
+        cut_walsh = topology.cut_walsh
+        monkeypatch.setattr(topology, "cut_walsh", lambda t, r: cut_walsh(t, r) + 1)
+        code, out, _ = run(capsys, ["verify", folded3_file])
+        assert code == 1
+        assert "cut_correspondence: FAIL" in out
 
     def test_verify_edge_list(self, capsys, tmp_path):
         edges = tmp_path / "k4.edges"

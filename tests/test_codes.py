@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from longhop import codes
+from longhop import codes, gf2
 from longhop.codes import GeneratorMatrix
 
 from conftest import HAMMING_ROWS, random_full_rank_generator, random_invertible
@@ -13,6 +13,32 @@ from conftest import HAMMING_ROWS, random_full_rank_generator, random_invertible
 
 def all_codewords(g):
     return [codes.encode(g, x) for x in range(1 << g.k)]
+
+
+def oracle_min_distance(g):
+    """Exhaust all 2**k - 1 nonzero messages with a Gray-code incremental
+    XOR; independent of the Walsh-spectrum min_distance in codes."""
+    best = g.n + 1
+    cw = 0
+    for idx in range(1, 1 << g.k):
+        # bit flipped between successive Gray codes = lowest set bit of idx
+        cw ^= g.rows[(idx & -idx).bit_length() - 1]
+        best = min(best, cw.bit_count())
+    return best
+
+
+@st.composite
+def generators_with_repeats(draw):
+    """Full-rank k x n generators, k = 1..9, whose columns may be zero or
+    repeated; unit columns missing from the span are appended."""
+    k = draw(st.integers(1, 9))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=3 * k))
+    cols += draw(st.lists(st.sampled_from(cols), max_size=4)) if cols else []
+    for i in range(k):
+        if gf2.rank(cols + [1 << i]) > gf2.rank(cols):
+            cols.append(1 << i)
+    rows = [sum(((c >> i) & 1) << s for s, c in enumerate(cols)) for i in range(k)]
+    return GeneratorMatrix(k=k, n=len(cols), rows=tuple(rows))
 
 
 class TestEncode:
@@ -63,6 +89,21 @@ class TestMinDistance:
         g = GeneratorMatrix(k=5, n=5, rows=tuple(1 << i for i in range(5)))
         with pytest.raises(ValueError, match="refus"):
             codes.min_distance(g, limit=4)
+
+    @pytest.mark.parametrize("chunk_bits", [0, 1, 3, 20])
+    @given(generators_with_repeats())
+    def test_matches_gray_code_oracle(self, chunk_bits, g):
+        # chunk_bits < k runs the multi-chunk path of gf2.spectrum_chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
+            assert codes.min_distance(g) == oracle_min_distance(g)
+
+    def test_k24_multi_chunk(self):
+        # G = [I | I]: every nonzero message has weight 2 * weight(u), so d = 2;
+        # k = 24 spans 16 chunks of 2**20 entries
+        k = 24
+        g = GeneratorMatrix(k=k, n=2 * k, rows=tuple((1 << i) | (1 << (k + i)) for i in range(k)))
+        assert codes.min_distance(g) == 2
 
     @pytest.mark.parametrize("k,n", [(4, 9), (6, 14), (8, 17), (10, 20)])
     def test_equals_min_pairwise_distance(self, k, n):

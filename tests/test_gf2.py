@@ -102,6 +102,32 @@ class TestFwht:
         assert v.tolist() == [1, 2, 3, 4]
 
 
+class TestSpectrumChunks:
+    @pytest.mark.parametrize("chunk_bits", [0, 2, 20])
+    @given(st.integers(0, 6).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=12))))
+    def test_matches_definition(self, chunk_bits, case):
+        width, words = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
+            chunks = list(gf2.spectrum_chunks(words, width))
+        assert {c.size for c in chunks} == {1 << min(width, chunk_bits)}
+        expected = [sum(1 - 2 * naive_parity(r & w) for w in words) for r in range(1 << width)]
+        assert np.concatenate(chunks).tolist() == expected
+
+
+class TestTranspose:
+    def test_example(self):
+        # bit j of row i becomes bit i of column j
+        assert gf2.transpose([0b101, 0b110], 3) == [0b01, 0b10, 0b11]
+
+    @given(st.integers(1, 9).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=9))))
+    def test_involution(self, case):
+        width, words = case
+        assert gf2.transpose(gf2.transpose(words, width), len(words)) == words
+
+
 def span_of(rows, width):
     """All 2**width GF(2) combinations of the bit columns of `rows`."""
     m = len(rows)

@@ -42,12 +42,36 @@ def oracle_hop_distances(t):
     return dist
 
 
+def oracle_cluster(t, levels):
+    """cluster with each level's crossing counts accumulated hop by hop from
+    explicit parities; independent of the Walsh spectrum used in topology."""
+    N = t.N
+    labels = np.zeros(N, dtype=np.int64)
+    if levels == 0:
+        return labels
+    used = []
+    span = {0}
+    for _ in range(levels):
+        intra = [h for h in t.hops if all(gf2.walsh(u, h) == 0 for u in used)]
+        cross = np.zeros(N, dtype=np.int64)
+        for h in intra:
+            cross += np.array([gf2.walsh(r, h) for r in range(N)], dtype=np.int64)
+        cross[list(span)] = t.m * N + 1
+        r_star = int(np.argmin(cross))
+        used.append(r_star)
+        span |= {s ^ r_star for s in span}
+    for r in used:
+        bit = np.array([gf2.walsh(r, x) for x in range(N)], dtype=np.int64)
+        labels = (labels << 1) | bit
+    return labels
+
+
 @st.composite
-def spanning_hopsets(draw):
-    """Random spanning hop sets with d = 1..12, mixing hops that touch only
+def spanning_hopsets(draw, max_d=12):
+    """Random spanning hop sets with d = 1..max_d, mixing hops that touch only
     the in-word bits (h < 64), only the word-index bits (h & 63 == 0), or
     both; unit vectors missing from the span are appended."""
-    d = draw(st.integers(1, 12))
+    d = draw(st.integers(1, max_d))
     top = (1 << d) - 1
     word = st.integers(1, top)
     if d > 6:
@@ -167,6 +191,17 @@ class TestBisection:
         assert (a.cuts == b.cuts).all()
         assert (a.alphas == b.alphas).all()
         assert (a.argmin_rs == b.argmin_rs).all()
+
+    @pytest.mark.parametrize("chunk_bits", [0, 1, 3, 20])
+    @given(spanning_hopsets(max_d=9))
+    def test_fwht_chunks_match_scan(self, chunk_bits, t):
+        # chunk_bits < d runs the multi-chunk path of gf2.spectrum_chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
+            chunked = bisection_fwht(t)
+        scan = bisection_scan(t)
+        assert (chunked.cuts == scan.cuts).all()
+        assert (chunked.alphas == scan.alphas).all()
 
     def test_cap_refused(self):
         t = hypercube(10)
@@ -292,6 +327,12 @@ class TestCluster:
         for levels in (1, 2, 3):
             counts = np.bincount(cluster(t, levels), minlength=1 << levels)
             assert set(counts.tolist()) == {t.N >> levels}
+
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        t = data.draw(spanning_hopsets(max_d=10))
+        levels = data.draw(st.integers(0, t.d))
+        assert cluster(t, levels).tolist() == oracle_cluster(t, levels).tolist()
 
     def test_levels_out_of_range(self, folded3):
         with pytest.raises(ValueError):
