@@ -70,8 +70,8 @@ def _cmd_bisect(args) -> int:
             "argmin_count": len(argmin),
         }
         if args.spectrum:
-            payload["cuts"] = [int(c) for c in spectrum_result.cuts]
-            payload["alphas"] = [int(a) for a in spectrum_result.alphas]
+            payload["cuts"] = spectrum_result.cuts.tolist()
+            payload["alphas"] = spectrum_result.alphas.tolist()
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [
@@ -84,10 +84,9 @@ def _cmd_bisect(args) -> int:
     ]
     if args.spectrum:
         lines.append("r cut alpha")
-        for r in range(t.N):
-            lines.append(
-                f"{gf2.word_to_text(r, t.d)} {int(spectrum_result.cuts[r])} {int(spectrum_result.alphas[r])}"
-            )
+        spec = f"0{t.d}b"
+        pairs = zip(spectrum_result.cuts.tolist(), spectrum_result.alphas.tolist())
+        lines += [f"{r:{spec}} {cut} {alpha}" for r, (cut, alpha) in enumerate(pairs)]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -159,7 +158,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_routes(args) -> int:
-    t, _ = _load_topology(args.hopfile, args.allow_large)
+    t = topology.parse_hopset(_read(args.hopfile))
     src = gf2.word_from_text(args.src) if args.src else 0
     dst = gf2.word_from_text(args.dest)
     if not 0 <= dst < t.N:
@@ -184,7 +183,7 @@ def _cmd_routes(args) -> int:
 
 
 def _cmd_ftable(args) -> int:
-    t, _ = _load_topology(args.hopfile, args.allow_large)
+    t = topology.parse_hopset(_read(args.hopfile))
     table = routing.forwarding_table(t, args.diversity)
     _write_output(table.to_csv(), args.output)
     return 0
@@ -193,10 +192,9 @@ def _cmd_ftable(args) -> int:
 def _cmd_cluster(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
     labels = topology.cluster(t, args.levels, max_d=max_d)
+    spec = f"0{t.d}b"
     lines = ["node,label"]
-    lines += [
-        f"{gf2.word_to_text(x, t.d)},{int(labels[x])}" for x in range(t.N)
-    ]
+    lines += [f"{x:{spec}},{label}" for x, label in enumerate(labels.tolist())]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -253,7 +251,7 @@ def _cmd_verify(args) -> int:
     x = np.arange(t.N, dtype=np.uint32)
     ok_cut = True
     for r in sample:
-        color = topology._parity_u32(x & np.uint32(r))
+        color = gf2.parity_u32(x & np.uint32(r))
         crossing = sum(
             int(np.count_nonzero(color != color[x ^ np.uint32(h)])) for h in t.hops
         ) // 2
@@ -283,18 +281,20 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=1, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
+    def add_allow_large(p):
         p.add_argument("--allow-large", action="store_true",
                        help=f"lift the d <= {topology.DEFAULT_MAX_D} full-spectrum cap")
-        if output:
-            p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+
+    def add_output(p):
+        p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("bisect", help="bisection of a hop-set file")
     p.add_argument("hopfile")
     p.add_argument("--method", choices=["fwht", "scan"], default="fwht")
     p.add_argument("--spectrum", action="store_true", help="print all cuts and eigenvalues")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    add_common(p)
+    add_allow_large(p)
+    add_output(p)
     p.set_defaults(func=_cmd_bisect)
 
     p = sub.add_parser("mindist", help="minimum distance of a generator-matrix file")
@@ -330,19 +330,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--src", default=None, help="source node label (default 0)")
     p.add_argument("--diversity", type=int, default=None,
                    help="return this many edge-disjoint paths instead of all shortest")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_routes)
 
     p = sub.add_parser("ftable", help="forwarding table as CSV")
     p.add_argument("hopfile")
     p.add_argument("--diversity", type=int, required=True, help="selectors per destination")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_ftable)
 
     p = sub.add_parser("cluster", help="recursive minimum-cut clustering labels")
     p.add_argument("hopfile")
     p.add_argument("--levels", type=int, required=True)
-    add_common(p)
+    add_allow_large(p)
+    add_output(p)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("compare", help="topology-family cost comparison table")
@@ -359,7 +360,7 @@ def _build_parser() -> _Parser:
     p.add_argument("hopfile", nargs="?", default=None)
     p.add_argument("--edge-list", default=None,
                    help="run the equipartition oracle on an edge-list file instead")
-    add_common(p, output=False)
+    add_allow_large(p)
     p.set_defaults(func=_cmd_verify)
     return parser
 

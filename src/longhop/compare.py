@@ -172,22 +172,20 @@ def model_lh(
     p: float,
     r: float,
     code: tuple[int, int, int] | GeneratorMatrix,
-    *,
-    max_d: int = DEFAULT_MAX_D,
 ) -> ComparisonRow:
     """Long Hop network built from a code given as (d, m, delta) or as an
     explicit generator matrix.
 
-    With a matrix, delta comes from min_distance and the hop counts from a
-    breadth-first scan of the constructed network; with a bare triple the
-    hop counts are unknown and left empty.
+    With a matrix, delta comes from min_distance and, for k <= DEFAULT_MAX_D,
+    the hop counts from a breadth-first scan of the constructed network;
+    otherwise, and with a bare triple, the hop counts are left empty.
     """
     max_hops: int | None = None
     avg_hops: float | None = None
     if isinstance(code, GeneratorMatrix):
         d, m = code.k, code.n
         delta = min_distance(code)
-        if d <= max_d:
+        if d <= DEFAULT_MAX_D:
             summary = distances(code_to_network(code))
             max_hops = summary.diameter
             avg_hops = summary.mean

@@ -12,9 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .topology import CayleyTopology, _parity_u32, bisection_fwht
+from .topology import CayleyTopology, bisection_fwht
 
 __all__ = ["SearchReport", "brute_force_search", "greedy_improve"]
+
+# brute_force_search refuses m - d > BRUTE_MAX_EXTRA or d > BRUTE_MAX_D
+BRUTE_MAX_EXTRA = 3
+BRUTE_MAX_D = 5
 
 
 @dataclass(frozen=True)
@@ -26,26 +30,20 @@ class SearchReport:
     rounds: int = 0
 
 
-def brute_force_search(
-    d: int,
-    m: int,
-    *,
-    max_extra: int = 3,
-    max_d: int = 5,
-) -> SearchReport:
+def brute_force_search(d: int, m: int) -> SearchReport:
     """Exact optimum over all hop sets with the first d hops pinned to the
     hypercube basis (any spanning hop set is isomorphic to one of these, so
     nothing is lost).  The remaining m - d hops run over ascending,
     deduplicated nonzero words.
 
-    Refuses instances beyond the budget (default m - d <= 3, d <= 5) rather
-    than silently truncating the search.
+    Refuses instances beyond the budget (m - d <= BRUTE_MAX_EXTRA,
+    d <= BRUTE_MAX_D) rather than silently truncating the search.
     """
     if m < d:
         raise ValueError(f"m={m} must be at least d={d}")
-    if m - d > max_extra or d > max_d:
+    if m - d > BRUTE_MAX_EXTRA or d > BRUTE_MAX_D:
         raise ValueError(
-            f"brute force budget exceeded: need m-d<={max_extra} and d<={max_d}, "
+            f"brute force budget exceeded: need m-d<={BRUTE_MAX_EXTRA} and d<={BRUTE_MAX_D}, "
             f"got (d={d}, m={m})"
         )
     basis = tuple(1 << i for i in range(d))
@@ -78,8 +76,9 @@ def greedy_improve(
     accepts the first strict improvement in b (the scan order makes the
     accepted set the lexicographically lowest among first improvements).
     Stops at a local optimum or after max_rounds accepted swaps; b never
-    decreases.  `evaluated` counts the distinct full-rank hop sets scored,
-    the start included.
+    decreases.  `evaluated` counts the full-rank candidates scored plus the
+    start: the work the search did, so a hop set that a later round meets
+    again counts again.
 
     Candidates are scored from the Walsh spectrum, a whole batch at a time.
     Removing hops (and, at width 2, adding the first word w1) leaves cuts c'
@@ -101,22 +100,16 @@ def greedy_improve(
     rs = np.arange(1 << d, dtype=np.uint32)
 
     def parity(h: int) -> np.ndarray:
-        return _parity_u32(rs & np.uint32(h))
+        return gf2.parity_u32(rs & np.uint32(h))
 
     evaluated = 1
-    history: list[_Round] = []
     rounds = 0
     while rounds < max_rounds:
         current = best.hops
-        in_use = set(current)
         unused = np.ones(1 << d, dtype=bool)
         unused[[0, *current]] = False
         pool = np.flatnonzero(unused)
         positions = [i for i, h in enumerate(current) if h & (h - 1)]
-        # b rises by at least 1 per round and one swap moves it by at most
-        # swap_width, so only the last swap_width rounds can have scored a
-        # hop set that this round reaches
-        near = history[-swap_width:]
         # width 1: one batch of every unused word; width 2: one batch per
         # first word w1, of the unused words above it
         if swap_width == 1:
@@ -127,17 +120,12 @@ def greedy_improve(
         for pos_combo in itertools.combinations(positions, swap_width):
             removed = [current[p] for p in pos_combo]
             cuts = spectrum.cuts - sum(parity(h) for h in removed)
-            kept = in_use.difference(removed)
             for first, ys in batches:
                 batch_cuts = cuts + parity(first[0]) if first else cuts
                 scores = _batch_scores(batch_cuts, ys, b)
                 better = np.flatnonzero(scores > b)
                 stop = int(better[0]) + 1 if better.size else ys.size
-                scored = scores[:stop] >= 1
-                fixed = kept.union(first)
-                if near:
-                    scored &= ~_seen(ys[:stop], fixed, swap_width, near)
-                evaluated += int(scored.sum())
+                evaluated += int((scores[:stop] >= 1).sum())
                 if better.size:
                     accepted = (pos_combo, first + (int(ys[stop - 1]),))
                     b = int(scores[stop - 1])
@@ -146,7 +134,6 @@ def greedy_improve(
                 break
         if not accepted:
             break
-        history.append(_Round(current, in_use, *accepted))
         hops = list(current)
         for p, w in zip(*accepted):
             hops[p] = w
@@ -162,23 +149,6 @@ def greedy_improve(
     )
 
 
-@dataclass(frozen=True)
-class _Round:
-    """An accepted greedy round: the hop set it started from and the swap it
-    accepted, which is the last candidate it scored."""
-
-    hops: tuple[int, ...]
-    in_use: set[int]
-    positions: tuple[int, ...]
-    words: tuple[int, ...]
-
-    def position_key(self, removed: set[int]) -> tuple[int, ...] | None:
-        """Sorted positions of the removed hops, None if one is a basis word."""
-        if any(not h & (h - 1) for h in removed):
-            return None
-        return tuple(sorted(self.hops.index(h) for h in removed))
-
-
 def _batch_scores(cuts: np.ndarray, ys: np.ndarray, b: int) -> np.ndarray:
     """b of each hop set made by adding one word of ys to the hops behind cuts.
 
@@ -192,47 +162,3 @@ def _batch_scores(cuts: np.ndarray, ys: np.ndarray, b: int) -> np.ndarray:
     minimizers[0] = False
     spectrum = gf2.fwht(minimizers)
     return b0 + (spectrum[ys] == -int(minimizers.sum()))
-
-
-def _seen(ys: np.ndarray, fixed: set[int], width: int, near: list[_Round]) -> np.ndarray:
-    """Mask over ys: True where fixed + {y} was scored in an earlier round.
-
-    A hop set is round R's candidate when it removes `width` non-basis hops
-    `miss` from R.hops and adds `width` words, and R scored it when that
-    swap comes no later than R's accepted one in scan order.  With
-    out = fixed - R.hops, a y outside R.hops needs len(out) == width - 1,
-    and a y inside R.hops needs len(out) == width (or 0: R.hops itself).
-    """
-    seen = np.zeros(ys.size, dtype=bool)
-    for r in near:
-        out = fixed - r.in_use
-        if len(out) > width:
-            continue
-        miss = r.in_use - fixed
-        if len(out) == width - 1:
-            key = r.position_key(miss)
-            if key is not None and key <= r.positions:
-                hit = ~np.isin(ys, list(miss))
-                if key == r.positions:
-                    hit &= _words_le(ys, out, r.words)
-                seen |= hit
-        for y in miss:
-            i = int(np.searchsorted(ys, y))
-            if i == ys.size or ys[i] != y:
-                continue
-            if not out:
-                seen[i] = True
-            elif len(out) == width:
-                key = r.position_key(miss - {y})
-                seen[i] = key is not None and (key, tuple(sorted(out))) <= (
-                    r.positions, r.words)
-    return seen
-
-
-def _words_le(ys: np.ndarray, out: set[int], words: tuple[int, ...]) -> np.ndarray:
-    """Mask over ys: sorted(out + {y}) <= words lexicographically (len(out) < 2)."""
-    if not out:
-        return ys <= words[0]
-    (f,) = out
-    lo, hi = np.minimum(ys, f), np.maximum(ys, f)
-    return (lo < words[0]) | ((lo == words[0]) & (hi <= words[1]))

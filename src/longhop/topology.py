@@ -141,16 +141,6 @@ def _check_cap(t: CayleyTopology, max_d: int) -> None:
         )
 
 
-def _parity_u32(a: np.ndarray) -> np.ndarray:
-    """Elementwise parity of a uint32 array (folds bits, modifies a)."""
-    a ^= a >> np.uint32(16)
-    a ^= a >> np.uint32(8)
-    a ^= a >> np.uint32(4)
-    a ^= a >> np.uint32(2)
-    a ^= a >> np.uint32(1)
-    return a & np.uint32(1)
-
-
 def _spectrum_from_cuts(cuts: np.ndarray, m: int, alphas: np.ndarray | None = None) -> SpectrumResult:
     if alphas is None:
         alphas = m - 2 * cuts
@@ -163,7 +153,7 @@ def _scan_chunk(hops: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
     r = np.arange(lo, hi, dtype=np.uint32)
     acc = np.zeros(hi - lo, dtype=np.int64)
     for h in hops:
-        acc += _parity_u32(r & np.uint32(h))
+        acc += gf2.parity_u32(r & np.uint32(h))
     return acc
 
 
@@ -389,7 +379,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
         span |= {s ^ r_star for s in span}
     x = np.arange(N, dtype=np.uint32)
     for r in used:
-        bit = _parity_u32(x & np.uint32(r))
+        bit = gf2.parity_u32(x & np.uint32(r))
         labels = (labels << 1) | bit.astype(np.int64)
     return labels
 

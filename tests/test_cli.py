@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from longhop import topology
+from longhop import gf2, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -177,6 +177,24 @@ class TestFtableClusterVerify:
         assert lines[0] == "node,label"
         labels = [line.split(",")[1] for line in lines[1:]]
         assert labels.count("0") == 4 and labels.count("1") == 4
+
+    def test_spectrum_and_cluster_render_words(self, capsys, tmp_path):
+        t = topology.build(4, [1, 2, 4, 8, 7, 11])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        _, out, _ = run(capsys, ["bisect", str(path), "--spectrum"])
+        s = topology.bisection_fwht(t)
+        rows = [f"{gf2.word_to_text(r, 4)} {int(s.cuts[r])} {int(s.alphas[r])}" for r in range(16)]
+        assert out.splitlines()[-17:] == ["r cut alpha", *rows]
+        _, out, _ = run(capsys, ["cluster", str(path), "--levels", "2"])
+        labels = topology.cluster(t, 2)
+        rows = [f"{gf2.word_to_text(x, 4)},{int(labels[x])}" for x in range(16)]
+        assert out.splitlines() == ["node,label", *rows]
+
+    @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
+    def test_allow_large_refused_where_unused(self, capsys, folded3_file, command):
+        code, _, err = run(capsys, [command[0], folded3_file, *command[1:], "--allow-large"])
+        assert code == 1 and "--allow-large" in err
 
     def test_verify_ok(self, capsys, folded3_file):
         code, out, _ = run(capsys, ["verify", folded3_file])

@@ -13,22 +13,18 @@ from longhop.topology import CayleyTopology, bisection_fwht, build
 
 
 def oracle_greedy_improve(start, swap_width=1, max_rounds=100):
-    """Per-candidate greedy: builds and transforms every full-rank candidate,
-    caching b by sorted hop tuple; independent of the Walsh-domain batch
-    scoring in optimize.greedy_improve."""
+    """Per-candidate greedy: builds and transforms every full-rank candidate
+    and counts each one it scores, the start included; independent of the
+    Walsh-domain batch scoring in optimize.greedy_improve."""
     d = start.d
     basis = {1 << i for i in range(d)}
     current = start.hops
-    cache: dict[tuple[int, ...], int] = {}
     evaluated = 0
 
     def score(hops):
         nonlocal evaluated
-        key = tuple(sorted(hops))
-        if key not in cache:
-            cache[key] = bisection_fwht(CayleyTopology(d=d, hops=hops)).b
-            evaluated += 1
-        return cache[key]
+        evaluated += 1
+        return bisection_fwht(CayleyTopology(d=d, hops=hops)).b
 
     b = score(current)
     rounds = 0
@@ -45,9 +41,10 @@ def oracle_greedy_improve(start, swap_width=1, max_rounds=100):
                 if gf2.rank(cand) != d:
                     continue
                 cand_t = tuple(cand)
-                if score(cand_t) > b:
+                cand_b = score(cand_t)
+                if cand_b > b:
                     current = cand_t
-                    b = score(cand_t)
+                    b = cand_b
                     rounds += 1
                     improved = True
                     break
@@ -189,7 +186,7 @@ class TestGreedy:
 
     @settings(max_examples=120)
     @given(greedy_starts((3, 7), 6), st.sampled_from([0, 1, 2, 100]))
-    # hop sets that earlier rounds scored come back in later rounds here
+    # hop sets that earlier rounds scored come back, and count again, here
     @example(build(6, [36, 15, 23, 62, 44, 60, 49, 30, 19]), 100)
     def test_width1_matches_oracle(self, start, max_rounds):
         assert_same_as_oracle(start, 1, max_rounds)
@@ -197,7 +194,7 @@ class TestGreedy:
     @settings(max_examples=40)
     @given(greedy_starts((3, 5), 3), st.integers(0, 3))
     @example(build(4, [6, 1, 2, 10, 11, 8, 5]), 3)
-    @example(build(4, [10, 8, 12, 3, 2, 9, 11]), 3)  # round 2 meets round 0's sets
+    @example(build(4, [10, 8, 12, 3, 2, 9, 11]), 3)  # round 2 meets round 0's sets again
     @example(build(5, [17, 6, 4, 8, 20, 16]), 3)
     def test_width2_matches_oracle(self, start, max_rounds):
         assert_same_as_oracle(start, 2, max_rounds)
