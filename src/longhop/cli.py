@@ -18,6 +18,7 @@ import numpy as np
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
 MAX_LISTED_ARGMIN = 64
+_RENDER_ROWS = 1 << 16   # cluster CSV rows rendered per block
 
 
 class _UsageError(Exception):
@@ -192,11 +193,31 @@ def _cmd_ftable(args) -> int:
 def _cmd_cluster(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
     labels = topology.cluster(t, args.levels, max_d=max_d)
-    spec = f"0{t.d}b"
-    lines = ["node,label"]
-    lines += [f"{x:{spec}},{label}" for x, label in enumerate(labels.tolist())]
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(_render_labels(labels, t.d), args.output)
     return 0
+
+
+def _render_labels(labels: np.ndarray, d: int) -> str:
+    """The `node,label` CSV, rendered a block of rows at a time as a uint8
+    character table: d bit columns, a comma, the label's decimal digits
+    right-aligned, a newline; the unused leading digit cells are dropped."""
+    places = 10 ** np.arange(len(str(int(labels.max()))) - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(d - 1, -1, -1, dtype=np.int64)
+    width = d + places.size + 2
+    parts = ["node,label\n"]
+    for lo in range(0, labels.size, _RENDER_ROWS):
+        label = labels[lo : lo + _RENDER_ROWS, None]
+        x = np.arange(lo, lo + label.size, dtype=np.int64)[:, None]
+        table = np.empty((label.size, width), dtype=np.uint8)
+        table[:, :d] = (x >> shifts) & 1
+        table[:, d + 1 : -1] = label // places % 10
+        table += ord("0")
+        table[:, d] = ord(",")
+        table[:, -1] = ord("\n")
+        keep = np.ones(table.shape, dtype=bool)
+        keep[:, d + 1 : -2] = label >= places[:-1]
+        parts.append(table[keep].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _parse_lh_triple(text: str) -> tuple[int, int, int]:
@@ -247,13 +268,24 @@ def _cmd_verify(args) -> int:
         sample = range(1, t.N)
     else:
         sample = sorted(rng.sample(range(1, t.N), 64))
-    # explicit two-coloring x -> parity(r & x); each edge is seen from both ends
-    x = np.arange(t.N, dtype=np.uint32)
+    # explicit two-coloring x -> parity(r & x) as a bitmap (bit x & 63 of word
+    # x >> 6), moved along every hop; each crossing edge is seen from both ends
+    words = max(t.N >> 6, 1)
+    blocks = topology._hop_blocks(t.hops, words)
+    word_idx = np.arange(words, dtype=np.int64)
+    x = np.arange(min(t.N, 64), dtype=np.uint32)
     ok_cut = True
     for r in sample:
-        color = gf2.parity_u32(x & np.uint32(r))
+        low = np.zeros(8, dtype=np.uint8)   # colors of x < 64, zero-padded when N < 64
+        bits = np.packbits(gf2.parity_u32(x & np.uint32(r)).astype(np.uint8), bitorder="little")
+        low[: bits.size] = bits
+        pattern = low.view("<u8").astype(np.uint64)
+        # parity(r & x) = parity(r & (x & 63)) ^ parity(r & (x >> 6 << 6))
+        flip = gf2.parity_u32(word_idx.astype(np.uint32) & np.uint32(r >> 6)).astype(bool)
+        color = np.where(flip, ~pattern, pattern)
         crossing = sum(
-            int(np.count_nonzero(color != color[x ^ np.uint32(h)])) for h in t.hops
+            int(np.bitwise_count(color ^ moved).sum())
+            for moved in topology._moves(color, blocks, word_idx)
         ) // 2
         if crossing != topology.cut_walsh(t, r) * (t.N // 2):
             ok_cut = False

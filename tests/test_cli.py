@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from longhop import gf2, topology
+from longhop import cli, gf2, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -190,6 +190,18 @@ class TestFtableClusterVerify:
         labels = topology.cluster(t, 2)
         rows = [f"{gf2.word_to_text(x, 4)},{int(labels[x])}" for x in range(16)]
         assert out.splitlines() == ["node,label", *rows]
+
+    @pytest.mark.parametrize("levels", [0, 3, 4, 6])
+    def test_cluster_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch, levels):
+        # labels of one and two digits, rows split over blocks of 5
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
+        t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        code, out, _ = run(capsys, ["cluster", str(path), "--levels", str(levels)])
+        labels = topology.cluster(t, levels).tolist()
+        assert code == 0
+        assert out == "node,label\n" + "".join(f"{x:06b},{labels[x]}\n" for x in range(64))
 
     @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
     def test_allow_large_refused_where_unused(self, capsys, folded3_file, command):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import random
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longhop import gf2, topology
+from longhop import cli, gf2, topology
 from longhop.topology import (
     CayleyTopology,
     bisection_bruteforce,
@@ -81,6 +83,33 @@ def spanning_hopsets(draw, max_d=12):
         if gf2.rank(hops + [1 << i]) > gf2.rank(hops):
             hops.append(1 << i)
     return build(d, hops)
+
+
+@st.composite
+def wide_hopsets(draw, max_d=10, max_m=150):
+    """Spanning hop sets with d = 1..max_d and up to max_m hops, so the
+    codewords r.G span one to three 64-bit lanes."""
+    d = draw(st.integers(1, max_d))
+    top = (1 << d) - 1
+    m = draw(st.integers(1, min(top, max_m)))
+    hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, top + 1), m)
+    for i in range(d):
+        if gf2.rank(hops + [1 << i]) > gf2.rank(hops):
+            hops.append(1 << i)
+    return build(d, hops)
+
+
+def scalar_cuts(t):
+    return [cut_walsh(t, r) for r in range(t.N)]
+
+
+def verify_output(t, tmp_path):
+    path = tmp_path / "net.hops"
+    path.write_text(emit_hopset(t), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", str(path)])
+    return code, out.getvalue()
 
 
 class TestBuild:
@@ -203,17 +232,45 @@ class TestBisection:
         assert (chunked.cuts == scan.cuts).all()
         assert (chunked.alphas == scan.alphas).all()
 
+    @settings(max_examples=60)
+    @given(wide_hopsets())
+    def test_scan_matches_scalar_cuts(self, t):
+        spec = bisection_scan(t)
+        assert spec.cuts.dtype == np.int64
+        assert spec.cuts.tolist() == scalar_cuts(t)
+        assert (spec.alphas == t.m - 2 * spec.cuts).all()
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 128])
+    def test_scan_lane_boundaries(self, m):
+        # m = 64 fills one lane exactly; 65 spills one bit into a second lane
+        t = random_topology(random.Random(m), 8, m)
+        assert bisection_scan(t).cuts.tolist() == scalar_cuts(t)
+
+    @pytest.mark.parametrize("low_bits", [0, 1, 3])
+    @given(wide_hopsets(max_d=7, max_m=70))
+    def test_scan_table_blocks(self, low_bits, t):
+        # a table narrower than d runs one XOR-and-popcount block per high part
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_LOW_BITS", low_bits)
+            spec = bisection_scan(t)
+        assert spec.cuts.tolist() == scalar_cuts(t)
+
     def test_cap_refused(self):
         t = hypercube(10)
         with pytest.raises(ValueError, match="cap"):
             bisection_scan(t, max_d=9)
 
     def test_threaded_scan_identical(self, monkeypatch):
+        # 2**3-entry spans of two 2**2-entry table blocks each: 32 tasks
+        monkeypatch.setattr(topology, "_SPAN_BITS", 3)
+        monkeypatch.setattr(topology, "_LOW_BITS", 2)
         monkeypatch.setenv(topology.THREADS_ENV, "4")
         t = random_topology(random.Random(1), 8, 12)
         threaded = bisection_scan(t)
         monkeypatch.setenv(topology.THREADS_ENV, "1")
-        assert (threaded.cuts == bisection_scan(t).cuts).all()
+        single = bisection_scan(t)
+        assert (threaded.cuts == single.cuts).all()
+        assert threaded.cuts.tolist() == scalar_cuts(t)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_refused(self, monkeypatch, value):
@@ -224,6 +281,24 @@ class TestBisection:
     def test_empty_thread_count_is_one(self, monkeypatch):
         monkeypatch.setenv(topology.THREADS_ENV, "")
         assert bisection_scan(hypercube(3)).b == 1
+
+
+class TestVerifyCutCheck:
+    @given(spanning_hopsets(max_d=8))
+    def test_ok_on_correct_cuts(self, tmp_path_factory, t):
+        # N < 64 leaves the one bitmap word zero-padded above bit N - 1
+        code, out = verify_output(t, tmp_path_factory.mktemp("v"))
+        assert code == 0
+        assert "cut_correspondence: OK" in out
+
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_fails_on_wrong_cut(self, tmp_path, monkeypatch, d):
+        t = random_topology(random.Random(d), d, d + 3)
+        monkeypatch.setattr(topology, "cut_walsh", lambda t, r: cut_walsh(t, r) + 1)
+        code, out = verify_output(t, tmp_path)
+        assert code == 1
+        assert "cut_correspondence: FAIL" in out
+        assert "scan_vs_fwht: OK" in out
 
 
 class TestBruteforce:
