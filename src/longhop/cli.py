@@ -8,6 +8,7 @@ output, integers print exactly, reals with 6 decimals.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -53,10 +54,10 @@ def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopolog
 
 def _cmd_bisect(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
-    if args.method == "scan":
-        spectrum_result = topology.bisection_scan(t, max_d=max_d)
-    else:
+    if args.method == "fwht":
         spectrum_result = topology.bisection_fwht(t, max_d=max_d)
+    else:
+        spectrum_result = topology.bisection_scan(t, max_d=max_d)
     argmin = [int(r) for r in spectrum_result.argmin_rs]
     shown = [gf2.word_to_text(r, t.d) for r in argmin[:MAX_LISTED_ARGMIN]]
     extra = len(argmin) - len(shown)
@@ -133,11 +134,15 @@ def _cmd_optimize(args) -> int:
                     f" expected (d={args.d}, m={args.m})"
                 )
         else:
-            basis = [1 << i for i in range(args.d)]
-            pool = [w for w in range(1, 1 << args.d) if w not in basis]
-            if args.m - args.d > len(pool):
+            topology._check_cap(args.d, topology.DEFAULT_MAX_D)   # before any word is built
+            if args.m < args.d:
+                raise ValueError(f"m={args.m} must be at least d={args.d}")
+            if args.m - args.d > (1 << args.d) - 1 - args.d:
                 raise ValueError(f"no valid start with m={args.m} at d={args.d}")
-            start = topology.build(args.d, basis + pool[: args.m - args.d])
+            # the basis, then the first m - d words that are not powers of two
+            extras = (w for w in itertools.count(3) if w & (w - 1))
+            basis = [1 << i for i in range(args.d)]
+            start = topology.build(args.d, basis + list(itertools.islice(extras, args.m - args.d)))
         given = {name: getattr(args, name) for name in ("swap_width", "max_rounds")}
         report = optimize.greedy_improve(   # unset flags keep greedy_improve's defaults
             start, **{name: value for name, value in given.items() if value is not None}
@@ -322,7 +327,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bisect", help="bisection of a hop-set file")
     p.add_argument("hopfile")
-    p.add_argument("--method", choices=["fwht", "scan"], default="fwht")
+    p.add_argument("--method", choices=["fwht", "scan"], default="scan")
     p.add_argument("--spectrum", action="store_true", help="print all cuts and eigenvalues")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_allow_large(p)

@@ -61,20 +61,20 @@ def encode(g: GeneratorMatrix, message: int) -> int:
 
 
 def min_distance(g: GeneratorMatrix, *, limit: int = DEFAULT_EXHAUSTION_LIMIT) -> int:
-    """Minimum nonzero codeword weight, (n - max over u != 0 of alpha[u])/2,
-    with alpha[u] = n - 2 * weight(encode(g, u)) the Walsh spectrum of g's
-    columns in bounded chunks (gf2.spectrum_chunks).  For linear codes this
-    equals the minimum pairwise codeword distance.  Refuses (rather than
-    approximates) when k exceeds `limit`.
+    """Minimum weight of encode(g, u) over u != 0, read from the codeword
+    weights of g's rows in bounded chunks (gf2.codeword_weights): O(2**k *
+    ceil(n/64)) 64-bit word work.  For linear codes this equals the minimum
+    pairwise codeword distance.  Refuses (rather than approximates) when k
+    exceeds `limit`.
     """
     if g.k > limit:
         raise ValueError(
             f"k={g.k} exceeds the exhaustive-search limit {limit}; refusing"
         )
-    best = -g.n   # every alpha is >= -n; alpha[0] = n is the zero message
-    for u, alphas in enumerate(gf2.spectrum_chunks(gf2.transpose(g.rows, g.n), g.k)):
-        best = max(best, int(alphas[int(u == 0) :].max(initial=best)))
-    return (g.n - best) // 2
+    best = g.n   # no codeword is heavier; weight 0 at u = 0 is the zero message
+    for u, weights in enumerate(gf2.codeword_weights(g.rows, g.n)):
+        best = min(best, int(weights[int(u == 0) :].min(initial=best)))
+    return best
 
 
 def change_basis(g: GeneratorMatrix, transform_rows: Sequence[int]) -> GeneratorMatrix:

@@ -2,7 +2,10 @@
 
 A d-bit word is a plain Python int in [0, 2**d); bit mu is the
 coefficient of 2**mu.  Rendered as text, words are written most
-significant bit first.  spectrum_chunks is the one Walsh-domain engine.
+significant bit first.  codeword_weights is the one engine that streams
+Walsh-domain quantities: the weight of the codeword r.G is the cut of the
+Walsh partition r of the hop set whose bit columns are G's rows, so
+bisection, code distance and clustering all read it.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ __all__ = [
     "weight",
     "walsh",
     "fwht",
-    "spectrum_chunks",
+    "codeword_weights",
     "transpose",
     "rank",
     "column_diagonalize",
@@ -24,7 +27,7 @@ __all__ = [
     "word_to_text",
 ]
 
-_CHUNK_BITS = 20   # spectrum_chunks yields 2**_CHUNK_BITS entries at most
+_TABLE_BITS = 16   # codeword_weights tabulates the low r bits and yields one chunk per table
 
 
 def parity(x: int) -> int:
@@ -78,17 +81,36 @@ def fwht(values: Sequence[int] | np.ndarray) -> np.ndarray:
     return a
 
 
-def spectrum_chunks(words: Sequence[int], width: int) -> Iterator[np.ndarray]:
-    """Yield alpha[r] = sum_w (-1)**parity(r & w), r = 0 .. 2**width - 1, in
-    ascending int64 chunks of 2**min(width, _CHUNK_BITS): the chunk for the
-    high bits u of r is the fwht of the words' low bits, each word signed by
-    (-1)**parity(u & w_high).  Zero and repeated words are legal."""
-    low = min(width, _CHUNK_BITS)
-    size = 1 << low
-    lows = np.array([w & (size - 1) for w in words], dtype=np.int64)
-    for u in range(1 << (width - low)):
-        odd = np.array([parity(u & (w >> low)) for w in words], dtype=bool)
-        yield fwht(np.bincount(lows[~odd], minlength=size) - np.bincount(lows[odd], minlength=size))
+def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
+    """Yield weight(r.G) for r = 0 .. 2**k - 1 ascending, in int64 chunks of
+    2**min(k, _TABLE_BITS) entries; G is the k x n bit matrix with the given
+    rows, and r.G is the XOR of the rows selected by the set bits of r.
+
+    Rows are split into ceil(n/64) uint64 lanes.  A table of the codewords
+    of the low min(k, _TABLE_BITS) bits of r, built by XOR doubling, is
+    XORed with the codeword of each high part of r and popcounted into that
+    part's chunk, lane counts summed, so the work is O(2**k * ceil(n/64))
+    64-bit words and the memory is O(2**_TABLE_BITS * ceil(n/64)).
+    """
+    k, width = len(rows), max(-(-n // 64), 1)   # n = 0 still gets one all-zero lane
+    lanes = np.array(
+        [[(int(w) >> (64 * lane)) & ((1 << 64) - 1) for w in rows] for lane in range(width)],
+        dtype=np.uint64,
+    ).reshape(width, k)
+    low = min(k, _TABLE_BITS)
+    table = np.zeros((width, 1 << low), dtype=np.uint64)
+    for i in range(low):   # codeword of j + 2**i is that of j XOR row i
+        np.bitwise_xor(table[:, : 1 << i], lanes[:, i : i + 1], out=table[:, 1 << i : 2 << i])
+    high = lanes[:, low:]
+    buf = np.empty(1 << low, dtype=np.uint64)
+    count = np.empty(1 << low, dtype=np.uint8)
+    for u in range(1 << (k - low)):
+        cu = np.bitwise_xor.reduce(high[:, [i for i in range(k - low) if u >> i & 1]], axis=1)
+        chunk = np.empty(1 << low, dtype=np.int64)
+        np.bitwise_count(np.bitwise_xor(table[0], cu[0], out=buf), out=chunk)
+        for lane in range(1, width):
+            chunk += np.bitwise_count(np.bitwise_xor(table[lane], cu[lane], out=buf), out=count)
+        yield chunk
 
 
 def transpose(words: Sequence[int], width: int) -> list[int]:

@@ -12,15 +12,14 @@ The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
 node x on side parity(r & x).  Bisection in links is b * N/2.  C_r is the
 Hamming weight of the codeword r.G of the hop matrix G, so b is the
-code's minimum distance.  bisection_scan evaluates every cut as the
-popcount of that codeword, O(N * ceil(m/64)) 64-bit word work (about
+code's minimum distance.  bisection_scan and cluster read those weights
+from gf2.codeword_weights, O(N * ceil(m/64)) 64-bit word work (about
 0.2 s at d = 24, m = 64); bisection_fwht reads the cuts off the Walsh
-spectrum instead, and each checks the other.
+transform of the hop set instead and serves as the independent oracle.
 """
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,11 +48,6 @@ __all__ = [
 
 DEFAULT_MAX_D = 24   # full-spectrum scans above this are refused unless overridden
 HARD_MAX_D = 32      # words are 32-bit at most
-
-THREADS_ENV = "LONGHOP_THREADS"
-
-_LOW_BITS = 16     # bisection_scan tabulates the codewords of the low r bits
-_SPAN_BITS = 20    # and hands out r in spans of 2**_SPAN_BITS, one per task
 
 
 @dataclass(frozen=True)
@@ -141,11 +135,11 @@ def cut_walsh(t: CayleyTopology, r: int) -> int:
     return sum((r & h).bit_count() & 1 for h in t.hops)
 
 
-def _check_cap(t: CayleyTopology, max_d: int) -> None:
+def _check_cap(d: int, max_d: int) -> None:
     cap = min(max_d, HARD_MAX_D)
-    if t.d > cap:
+    if d > cap:
         raise ValueError(
-            f"d={t.d} exceeds the full-spectrum cap {cap}; pass a larger max_d to override"
+            f"d={d} exceeds the full-spectrum cap {cap}; pass a larger max_d to override"
         )
 
 
@@ -158,97 +152,39 @@ def _spectrum_from_cuts(cuts: np.ndarray, m: int, alphas: np.ndarray | None = No
     return SpectrumResult(cuts=cuts, alphas=alphas, b=b, argmin_rs=argmin)
 
 
-def _codeword_lanes(hops: Sequence[int], d: int) -> np.ndarray:
-    """(lanes, d) uint64 array whose column i holds c_i, the m-bit word with
-    bit s equal to bit i of hop s, split into ceil(m/64) 64-bit lanes."""
-    lanes = -(-len(hops) // 64)
-    columns = gf2.transpose(hops, d)
-    return np.array(
-        [[(c >> (64 * lane)) & ((1 << 64) - 1) for c in columns] for lane in range(lanes)],
-        dtype=np.uint64,
-    )
-
-
-def _scan_span(table: np.ndarray, high: np.ndarray, cuts: np.ndarray, u_lo: int, u_hi: int) -> None:
-    """cuts of r = u * size + j for u in u_lo..u_hi-1 and every j < size, as
-    popcounts of the codewords table[:, j] ^ C(u), with C(u) the XOR of the
-    high columns over the set bits of u, lane counts summed."""
-    lanes, size = table.shape
-    buf = np.empty(size, dtype=np.uint64)
-    count = np.empty(size, dtype=np.uint8)
-    for u in range(u_lo, u_hi):
-        cu = np.bitwise_xor.reduce(high[:, [i for i in range(high.shape[1]) if u >> i & 1]], axis=1)
-        out = cuts[u * size : (u + 1) * size]
-        for lane in range(lanes):
-            word = np.bitwise_xor(table[lane], cu[lane], out=buf)
-            if lane == 0:
-                np.bitwise_count(word, out=out)
-            else:
-                out += np.bitwise_count(word, out=count)
-
-
-def _thread_count() -> int:
-    """Threads named by LONGHOP_THREADS; unset or empty means 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
     """Exact bisection by direct evaluation of all N-1 Walsh cuts.
 
     The cut of partition r is the Hamming weight of the codeword r.G of the
-    hop matrix G (column s is hop s): the XOR of c_i over the set bits i of
-    r, with c_i the m-bit word of bit i of every hop.  A table of the
-    codewords of the low min(d, 16) bits of r, built by XOR doubling, is
-    XORed with the codeword of each high part of r and popcounted, so the
-    work is O(N * ceil(m/64)) 64-bit words and the memory beyond `cuts` is
-    O(2**16 * ceil(m/64)).  At d = 24, m = 64 it takes about 0.2 s on a
-    2-vCPU VM.  The r-range is chunked and may be spread over the thread
-    count named by the LONGHOP_THREADS environment variable; the result is
-    exact integer arithmetic either way.  It shares no code with the
-    Walsh-Hadamard path of bisection_fwht, so each checks the other.
+    hop matrix G (column s is hop s, row i holds bit i of every hop), which
+    gf2.codeword_weights streams in ascending chunks: O(N * ceil(m/64))
+    64-bit word work, about 0.2 s at d = 24, m = 64 on a 2-vCPU VM.  It
+    shares no code with the Walsh-Hadamard path of bisection_fwht, so each
+    checks the other.
     """
-    _check_cap(t, max_d)
-    N = t.N
-    low = min(t.d, _LOW_BITS)
-    lanes = _codeword_lanes(t.hops, t.d)
-    table = np.zeros((lanes.shape[0], 1 << low), dtype=np.uint64)
-    for i in range(low):   # codeword of j + 2**i is that of j XOR c_i
-        np.bitwise_xor(table[:, : 1 << i], lanes[:, i : i + 1], out=table[:, 1 << i : 2 << i])
-    high = lanes[:, low:]
-    cuts = np.empty(N, dtype=np.int64)
-    threads = _thread_count()
-    parts, step = N >> low, max((1 << _SPAN_BITS) >> low, 1)   # high parts, per span
-    spans = [(u, min(u + step, parts)) for u in range(0, parts, step)]
-    if threads > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: _scan_span(table, high, cuts, *s), spans))
-    else:
-        for u_lo, u_hi in spans:
-            _scan_span(table, high, cuts, u_lo, u_hi)
+    _check_cap(t.d, max_d)
+    cuts = np.empty(t.N, dtype=np.int64)
+    lo = 0
+    for chunk in gf2.codeword_weights(gf2.transpose(t.hops, t.d), t.m):
+        cuts[lo : lo + chunk.size] = chunk
+        lo += chunk.size
     return _spectrum_from_cuts(cuts, t.m)
 
 
 def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
     """Exact bisection via the fast Walsh-Hadamard transform, O(N log N).
 
-    The Walsh spectrum of the hop set (gf2.spectrum_chunks) at r is the
-    adjacency eigenvalue alpha_r, and cuts follow as (m - alpha_r)/2.
-    Result is identical to bisection_scan.
+    The transform of the hop set's indicator vector at r is the adjacency
+    eigenvalue alpha_r, and cuts follow as (m - alpha_r)/2.  Slower than
+    bisection_scan (about 2 s at d = 24, m = 64) and kept as its
+    independent oracle; the result is identical.
     """
-    _check_cap(t, max_d)
-    alphas = np.concatenate(list(gf2.spectrum_chunks(t.hops, t.d)))
-    cuts = (t.m - alphas) // 2
+    _check_cap(t.d, max_d)
+    alphas = np.zeros(t.N, dtype=np.int8)   # the hop set's indicator, then its transform
+    alphas[list(t.hops)] = 1
+    alphas = gf2.fwht(alphas)
+    cuts = np.subtract(t.m, alphas)
+    cuts //= 2
     return _spectrum_from_cuts(cuts, t.m, alphas=alphas)
 
 
@@ -400,31 +336,38 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
     the smallest index r, linearly independent of the indices already
     used, that minimizes the number of edges crossing the split inside
     the current cells.  Because the cells are cosets of one subspace, that
-    count is proportional to the cut restricted to hops that stay inside
-    cells, (|intra| - alpha_r)/2 with alpha their Walsh spectrum.
+    count is proportional to the cut restricted to the hops that stay
+    inside cells: the weight of the codeword r.G of their hop matrix G,
+    which each level reduces from gf2.codeword_weights chunk by chunk.
 
     Returns an array of 2**levels equally populated labels; the level-1
     split is the label's most significant bit.
     """
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
-    _check_cap(t, max_d)
+    _check_cap(t.d, max_d)
     N = t.N
     labels = np.zeros(N, dtype=np.int64)
     if levels == 0:
         return labels
     used: list[int] = []
-    span = {0}
-    sentinel = t.m * N + 1
+    span = np.zeros(1, dtype=np.int64)
+    sentinel = t.m + 1   # above every cut
     for _ in range(levels):
         intra = [
             h for h in t.hops if all(((h & u).bit_count() & 1) == 0 for u in used)
         ]
-        cross = (len(intra) - np.concatenate(list(gf2.spectrum_chunks(intra, t.d)))) // 2
-        cross[list(span)] = sentinel  # r must be independent of earlier splits
-        r_star = int(np.argmin(cross))  # argmin takes the smallest such r
+        best, r_star, lo = sentinel, 0, 0
+        for cross in gf2.codeword_weights(gf2.transpose(intra, t.d), len(intra)):
+            hi = lo + cross.size
+            first, last = np.searchsorted(span, (lo, hi))
+            cross[span[first:last] - lo] = sentinel  # r independent of earlier splits
+            r = int(np.argmin(cross))   # the smallest r wins ties, chunks ascend
+            if cross[r] < best:
+                best, r_star = int(cross[r]), lo + r
+            lo = hi
         used.append(r_star)
-        span |= {s ^ r_star for s in span}
+        span = np.sort(np.concatenate([span, span ^ r_star]))   # sorted for searchsorted
     x = np.arange(N, dtype=np.uint32)
     for r in used:
         bit = gf2.parity_u32(x & np.uint32(r))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,22 @@ class TestBisect:
 
     def test_scan_method(self, capsys, folded3_file):
         code, out, _ = run(capsys, ["bisect", folded3_file, "--method", "scan"])
+        assert code == 0 and "b: 2" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--spectrum"]])
+    def test_default_scan_matches_fwht(self, capsys, tmp_path, flags):
+        t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21, 42])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        assert run(capsys, ["bisect", str(path), *flags]) == run(
+            capsys, ["bisect", str(path), "--method", "fwht", *flags])
+
+    def test_default_method_is_scan(self, capsys, folded3_file, monkeypatch):
+        def oracle_only(t, **kwargs):
+            raise AssertionError("bisect ran the fwht oracle by default")
+
+        monkeypatch.setattr(topology, "bisection_fwht", oracle_only)
+        code, out, _ = run(capsys, ["bisect", folded3_file])
         assert code == 0 and "b: 2" in out
 
     def test_byte_identical_runs(self, capsys, folded3_file):
@@ -118,6 +135,26 @@ class TestOptimize:
         code, out, _ = run(capsys, base)
         assert code == 0
         assert run(capsys, base + ["--swap-width", "1", "--max-rounds", "100"]) == (0, out, "")
+
+    def test_greedy_default_start(self, capsys):
+        # the basis, then the first m - d words that are not powers of two
+        code, out, _ = run(
+            capsys, ["optimize", "-d", "4", "-m", "9", "--method", "greedy", "--max-rounds", "0"]
+        )
+        assert code == 0
+        assert "hops: 0001,0010,0100,1000,0011,0101,0110,0111,1001" in out
+
+    @pytest.mark.parametrize("d,m,message", [
+        ("3", "8", "no valid start with m=8 at d=3"),
+        ("4", "2", "m=2 must be at least d=4"),
+        ("30", "34", "exceeds the full-spectrum cap 24"),
+    ], ids=["too-many-hops", "m-below-d", "above-cap"])
+    def test_greedy_default_start_refused(self, capsys, d, m, message):
+        began = time.perf_counter()
+        code, out, err = run(capsys, ["optimize", "-d", d, "-m", m, "--method", "greedy"])
+        assert time.perf_counter() - began < 2   # refused before any word list is built
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, ["optimize", "-d", "6", "-m", "7"])

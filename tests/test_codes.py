@@ -17,7 +17,7 @@ def all_codewords(g):
 
 def oracle_min_distance(g):
     """Exhaust all 2**k - 1 nonzero messages with a Gray-code incremental
-    XOR; independent of the Walsh-spectrum min_distance in codes."""
+    XOR; independent of the table-and-popcount engine behind min_distance."""
     best = g.n + 1
     cw = 0
     for idx in range(1, 1 << g.k):
@@ -90,17 +90,17 @@ class TestMinDistance:
         with pytest.raises(ValueError, match="refus"):
             codes.min_distance(g, limit=4)
 
-    @pytest.mark.parametrize("chunk_bits", [0, 1, 3, 20])
+    @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
     @given(generators_with_repeats())
-    def test_matches_gray_code_oracle(self, chunk_bits, g):
-        # chunk_bits < k runs the multi-chunk path of gf2.spectrum_chunks
+    def test_matches_gray_code_oracle(self, table_bits, g):
+        # table_bits < k makes min_distance reduce several gf2.codeword_weights chunks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
+            mp.setattr(gf2, "_TABLE_BITS", table_bits)
             assert codes.min_distance(g) == oracle_min_distance(g)
 
     def test_k24_multi_chunk(self):
         # G = [I | I]: every nonzero message has weight 2 * weight(u), so d = 2;
-        # k = 24 spans 16 chunks of 2**20 entries
+        # k = 24 spans 256 chunks of 2**16 codeword weights
         k = 24
         g = GeneratorMatrix(k=k, n=2 * k, rows=tuple((1 << i) | (1 << (k + i)) for i in range(k)))
         assert codes.min_distance(g) == 2

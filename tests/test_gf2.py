@@ -110,18 +110,56 @@ class TestFwht:
         assert v.tolist() == [1, 2, 3, 4]
 
 
-class TestSpectrumChunks:
-    @pytest.mark.parametrize("chunk_bits", [0, 2, 20])
-    @given(st.integers(0, 6).flatmap(
-        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=12))))
-    def test_matches_definition(self, chunk_bits, case):
-        width, words = case
+def xor_weights(rows):
+    """weight(r.G) for every r, by XOR of the rows selected by r: the
+    definition codeword_weights must match."""
+    weights = []
+    for r in range(1 << len(rows)):
+        cw = 0
+        for i, row in enumerate(rows):
+            if r >> i & 1:
+                cw ^= row
+        weights.append(gf2.weight(cw))
+    return weights
+
+
+@st.composite
+def bit_matrices(draw, max_k=10, max_n=150):
+    """(rows, n): k = 1..max_k rows of n = 0..max_n bits, so 0-3 uint64
+    lanes, with the lane boundaries and zero rows drawn often."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.one_of(st.integers(0, max_n), st.sampled_from([0, 63, 64, 65, 128])))
+    row = st.one_of(st.integers(0, (1 << n) - 1), st.just(0))
+    return draw(st.lists(row, min_size=k, max_size=k)), n
+
+
+class TestCodewordWeights:
+    @given(bit_matrices())
+    def test_matches_xor_of_rows(self, case):
+        rows, n = case
+        chunks = list(gf2.codeword_weights(rows, n))
+        assert {c.dtype for c in chunks} == {np.dtype(np.int64)}
+        assert {c.size for c in chunks} == {1 << len(rows)}   # k <= 10: one chunk
+        assert np.concatenate(chunks).tolist() == xor_weights(rows)
+
+    @pytest.mark.parametrize("table_bits", [0, 1, 3])
+    @given(bit_matrices(max_k=7))
+    def test_table_sizes(self, table_bits, case):
+        # a table narrower than k yields one chunk per high part of r
+        rows, n = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
-            chunks = list(gf2.spectrum_chunks(words, width))
-        assert {c.size for c in chunks} == {1 << min(width, chunk_bits)}
-        expected = [sum(1 - 2 * naive_parity(r & w) for w in words) for r in range(1 << width)]
-        assert np.concatenate(chunks).tolist() == expected
+            mp.setattr(gf2, "_TABLE_BITS", table_bits)
+            chunks = list(gf2.codeword_weights(rows, n))
+        assert {c.size for c in chunks} == {1 << min(len(rows), table_bits)}
+        assert np.concatenate(chunks).tolist() == xor_weights(rows)
+
+    def test_k21_full_table(self):
+        # rows 1, 2, 4, ... of 21 bits: weight(r.G) = weight(r), in 32 chunks of 2**16
+        k = 21
+        chunks = list(gf2.codeword_weights([1 << i for i in range(k)], k))
+        assert [c.size for c in chunks] == [1 << 16] * 32
+        weights = np.concatenate(chunks)
+        assert (weights == np.bitwise_count(np.arange(1 << k, dtype=np.uint64))).all()
 
 
 class TestTranspose:

@@ -46,7 +46,8 @@ def oracle_hop_distances(t):
 
 def oracle_cluster(t, levels):
     """cluster with each level's crossing counts accumulated hop by hop from
-    explicit parities; independent of the Walsh spectrum used in topology."""
+    explicit parities over full-length arrays; independent of the codeword
+    weights that topology.cluster reduces chunk by chunk."""
     N = t.N
     labels = np.zeros(N, dtype=np.int64)
     if levels == 0:
@@ -221,16 +222,16 @@ class TestBisection:
         assert (a.alphas == b.alphas).all()
         assert (a.argmin_rs == b.argmin_rs).all()
 
-    @pytest.mark.parametrize("chunk_bits", [0, 1, 3, 20])
+    @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
     @given(spanning_hopsets(max_d=9))
-    def test_fwht_chunks_match_scan(self, chunk_bits, t):
-        # chunk_bits < d runs the multi-chunk path of gf2.spectrum_chunks
+    def test_fwht_chunks_match_scan(self, table_bits, t):
+        # table_bits < d makes bisection_scan place several gf2.codeword_weights chunks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf2, "_CHUNK_BITS", chunk_bits)
-            chunked = bisection_fwht(t)
-        scan = bisection_scan(t)
-        assert (chunked.cuts == scan.cuts).all()
-        assert (chunked.alphas == scan.alphas).all()
+            mp.setattr(gf2, "_TABLE_BITS", table_bits)
+            scan = bisection_scan(t)
+        fwht = bisection_fwht(t)
+        assert (fwht.cuts == scan.cuts).all()
+        assert (fwht.alphas == scan.alphas).all()
 
     @settings(max_examples=60)
     @given(wide_hopsets())
@@ -246,12 +247,12 @@ class TestBisection:
         t = random_topology(random.Random(m), 8, m)
         assert bisection_scan(t).cuts.tolist() == scalar_cuts(t)
 
-    @pytest.mark.parametrize("low_bits", [0, 1, 3])
+    @pytest.mark.parametrize("table_bits", [0, 1, 3])
     @given(wide_hopsets(max_d=7, max_m=70))
-    def test_scan_table_blocks(self, low_bits, t):
-        # a table narrower than d runs one XOR-and-popcount block per high part
+    def test_scan_table_blocks(self, table_bits, t):
+        # a table narrower than d yields one XOR-and-popcount chunk per high part
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(topology, "_LOW_BITS", low_bits)
+            mp.setattr(gf2, "_TABLE_BITS", table_bits)
             spec = bisection_scan(t)
         assert spec.cuts.tolist() == scalar_cuts(t)
 
@@ -260,27 +261,13 @@ class TestBisection:
         with pytest.raises(ValueError, match="cap"):
             bisection_scan(t, max_d=9)
 
-    def test_threaded_scan_identical(self, monkeypatch):
-        # 2**3-entry spans of two 2**2-entry table blocks each: 32 tasks
-        monkeypatch.setattr(topology, "_SPAN_BITS", 3)
-        monkeypatch.setattr(topology, "_LOW_BITS", 2)
-        monkeypatch.setenv(topology.THREADS_ENV, "4")
+    def test_multi_chunk_scan_identical(self, monkeypatch):
+        # one chunk per 2**2-entry table block: 64 chunks
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 2)
         t = random_topology(random.Random(1), 8, 12)
-        threaded = bisection_scan(t)
-        monkeypatch.setenv(topology.THREADS_ENV, "1")
-        single = bisection_scan(t)
-        assert (threaded.cuts == single.cuts).all()
-        assert threaded.cuts.tolist() == scalar_cuts(t)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_count_refused(self, monkeypatch, value):
-        monkeypatch.setenv(topology.THREADS_ENV, value)
-        with pytest.raises(ValueError, match=topology.THREADS_ENV):
-            bisection_scan(hypercube(3))
-
-    def test_empty_thread_count_is_one(self, monkeypatch):
-        monkeypatch.setenv(topology.THREADS_ENV, "")
-        assert bisection_scan(hypercube(3)).b == 1
+        spec = bisection_scan(t)
+        assert spec.cuts.tolist() == scalar_cuts(t)
+        assert (spec.cuts == bisection_fwht(t).cuts).all()
 
 
 class TestVerifyCutCheck:
@@ -408,6 +395,18 @@ class TestCluster:
         t = data.draw(spanning_hopsets(max_d=10))
         levels = data.draw(st.integers(0, t.d))
         assert cluster(t, levels).tolist() == oracle_cluster(t, levels).tolist()
+
+    @pytest.mark.parametrize("table_bits", [0, 3])
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_oracle_in_small_chunks(self, table_bits, data):
+        # the earlier splits' span is masked and the argmin taken chunk by chunk
+        t = data.draw(spanning_hopsets(max_d=8))
+        levels = data.draw(st.integers(0, t.d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "_TABLE_BITS", table_bits)
+            labels = cluster(t, levels)
+        assert labels.tolist() == oracle_cluster(t, levels).tolist()
 
     def test_levels_out_of_range(self, folded3):
         with pytest.raises(ValueError):
