@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,11 +40,14 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str | Iterable[str], out: str | None) -> None:
+    """Write a string, or an iterable of strings in order, to `out` or stdout."""
+    parts = (text,) if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopology, int]:
@@ -94,6 +98,8 @@ def _cmd_bisect(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
+    if args.limit > topology.HARD_MAX_D:
+        raise ValueError(f"--limit must be at most {topology.HARD_MAX_D}, got {args.limit}")
     g = codes.parse_generator(_read(args.genfile))
     delta = codes.min_distance(g, limit=args.limit)
     if args.format == "json":
@@ -167,6 +173,8 @@ def _cmd_routes(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
     src = gf2.word_from_text(args.src) if args.src else 0
     dst = gf2.word_from_text(args.dest)
+    if not 0 <= src < t.N:
+        raise ValueError(f"source out of range for d={t.d}")
     if not 0 <= dst < t.N:
         raise ValueError(f"destination out of range for d={t.d}")
     if src == dst:
@@ -202,27 +210,26 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _render_labels(labels: np.ndarray, d: int) -> str:
-    """The `node,label` CSV, rendered a block of rows at a time as a uint8
-    character table: d bit columns, a comma, the label's decimal digits
-    right-aligned, a newline; the unused leading digit cells are dropped."""
+def _render_labels(labels: np.ndarray, d: int) -> Iterator[str]:
+    """Yield the `node,label` CSV: the header, then blocks of rows, each
+    rendered as a uint8 character table: d bit columns, a comma, the
+    label's decimal digits right-aligned, a newline; the unused leading
+    digit cells are dropped."""
     places = 10 ** np.arange(len(str(int(labels.max()))) - 1, -1, -1, dtype=np.int64)
-    shifts = np.arange(d - 1, -1, -1, dtype=np.int64)
     width = d + places.size + 2
-    parts = ["node,label\n"]
+    yield "node,label\n"
     for lo in range(0, labels.size, _RENDER_ROWS):
         label = labels[lo : lo + _RENDER_ROWS, None]
-        x = np.arange(lo, lo + label.size, dtype=np.int64)[:, None]
+        x = np.arange(lo, lo + label.size, dtype=">u4")   # node ids, bytes MSB first
         table = np.empty((label.size, width), dtype=np.uint8)
-        table[:, :d] = (x >> shifts) & 1
+        table[:, :d] = np.unpackbits(x.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
         table[:, d + 1 : -1] = label // places % 10
         table += ord("0")
         table[:, d] = ord(",")
         table[:, -1] = ord("\n")
         keep = np.ones(table.shape, dtype=bool)
         keep[:, d + 1 : -2] = label >= places[:-1]
-        parts.append(table[keep].tobytes().decode("ascii"))
-    return "".join(parts)
+        yield table[keep].tobytes().decode("ascii")
 
 
 def _parse_lh_triple(text: str) -> tuple[int, int, int]:
@@ -269,10 +276,7 @@ def _cmd_verify(args) -> int:
     failed |= not agree
 
     rng = random.Random(args.seed)
-    if t.d <= 6:
-        sample = range(1, t.N)
-    else:
-        sample = sorted(rng.sample(range(1, t.N), 64))
+    sample = sorted(rng.sample(range(1, t.N), min(64, t.N - 1)))
     # explicit two-coloring x -> parity(r & x) as a bitmap (bit x & 63 of word
     # x >> 6), moved along every hop; each crossing edge is seen from both ends
     words = max(t.N >> 6, 1)
@@ -296,7 +300,7 @@ def _cmd_verify(args) -> int:
             ok_cut = False
             break
     out.write(
-        f"cut_correspondence: {'OK' if ok_cut else 'FAIL'} ({len(list(sample))} partitions checked)\n"
+        f"cut_correspondence: {'OK' if ok_cut else 'FAIL'} ({len(sample)} partitions checked)\n"
     )
     failed |= not ok_cut
 

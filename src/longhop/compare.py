@@ -226,8 +226,12 @@ def compare(
 
     Row order is LH, HC, FC, FT; the LH row is the normalization baseline
     for the *_norm output columns.  A target that fits inside a single
-    switch collapses to one flagged row.
+    switch collapses to one flagged row.  P and R must be positive and
+    finite.
     """
+    for name, value in (("ports", p), ("radix", r)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if p <= r:
         return [
             ComparisonRow(

@@ -12,10 +12,10 @@ The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
 node x on side parity(r & x).  Bisection in links is b * N/2.  C_r is the
 Hamming weight of the codeword r.G of the hop matrix G, so b is the
-code's minimum distance.  bisection_scan and cluster read those weights
-from gf2.codeword_weights, O(N * ceil(m/64)) 64-bit word work (about
-0.2 s at d = 24, m = 64); bisection_fwht reads the cuts off the Walsh
-transform of the hop set instead and serves as the independent oracle.
+code's minimum distance.  bisection_scan reads those weights from
+gf2.codeword_weights (about 0.15 s at d = 24, m = 64) into the one
+N-entry array a SpectrumResult holds; cluster reduces them chunk by chunk.
+bisection_fwht reads the cuts off the Walsh transform as the oracle.
 """
 from __future__ import annotations
 
@@ -106,21 +106,26 @@ def build(d: int, hops: Sequence[int]) -> CayleyTopology:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Full cut/eigenvalue spectrum of a topology.
+    """Full cut spectrum of a topology with m hops.
 
-    cuts[r] is the cut of the Walsh partition r in units of N/2;
-    alphas[r] = m - 2*cuts[r] is the matching adjacency eigenvalue;
-    b = min over r > 0 of cuts[r]; argmin_rs lists every minimizing r.
+    cuts[r] is the cut of the Walsh partition r in units of N/2, the one
+    N-entry array held; b = min over r > 0 of cuts[r]; argmin_rs lists
+    every minimizing r.  alphas derives the adjacency eigenvalues.
     """
 
     cuts: np.ndarray
-    alphas: np.ndarray
+    m: int
     b: int
     argmin_rs: np.ndarray
 
     @property
     def N(self) -> int:
         return int(self.cuts.size)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        """Adjacency eigenvalues m - 2*cuts[r], built anew on each access."""
+        return self.m - 2 * self.cuts
 
     @property
     def links(self) -> int:
@@ -143,13 +148,10 @@ def _check_cap(d: int, max_d: int) -> None:
         )
 
 
-def _spectrum_from_cuts(cuts: np.ndarray, m: int, alphas: np.ndarray | None = None) -> SpectrumResult:
-    if alphas is None:
-        alphas = np.multiply(cuts, -2)   # m - 2 * cuts without a second N-entry temporary
-        alphas += m
+def _spectrum_from_cuts(cuts: np.ndarray, m: int) -> SpectrumResult:
     b = int(cuts[1:].min())
     argmin = np.flatnonzero(cuts[1:] == b).astype(np.int64) + 1
-    return SpectrumResult(cuts=cuts, alphas=alphas, b=b, argmin_rs=argmin)
+    return SpectrumResult(cuts=cuts, m=m, b=b, argmin_rs=argmin)
 
 
 def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
@@ -158,7 +160,7 @@ def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
     The cut of partition r is the Hamming weight of the codeword r.G of the
     hop matrix G (column s is hop s, row i holds bit i of every hop), which
     gf2.codeword_weights streams in ascending chunks: O(N * ceil(m/64))
-    64-bit word work, about 0.2 s at d = 24, m = 64 on a 2-vCPU VM.  It
+    64-bit word work, about 0.15 s at d = 24, m = 64 on a 2-vCPU VM.  It
     shares no code with the Walsh-Hadamard path of bisection_fwht, so each
     checks the other.
     """
@@ -180,12 +182,12 @@ def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
     independent oracle; the result is identical.
     """
     _check_cap(t.d, max_d)
-    alphas = np.zeros(t.N, dtype=np.int8)   # the hop set's indicator, then its transform
-    alphas[list(t.hops)] = 1
-    alphas = gf2.fwht(alphas)
-    cuts = np.subtract(t.m, alphas)
+    cuts = np.zeros(t.N, dtype=np.int8)   # the hop set's indicator, its transform, then the cuts
+    cuts[list(t.hops)] = 1
+    cuts = gf2.fwht(cuts)
+    np.subtract(t.m, cuts, out=cuts)
     cuts //= 2
-    return _spectrum_from_cuts(cuts, t.m, alphas=alphas)
+    return _spectrum_from_cuts(cuts, t.m)
 
 
 def bisection_bruteforce(edges: Sequence[tuple[int, int]], n: int) -> int:
@@ -346,8 +348,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
     _check_cap(t.d, max_d)
-    N = t.N
-    labels = np.zeros(N, dtype=np.int64)
+    labels = np.zeros(t.N, dtype=np.int64)
     if levels == 0:
         return labels
     used: list[int] = []
@@ -368,10 +369,9 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
             lo = hi
         used.append(r_star)
         span = np.sort(np.concatenate([span, span ^ r_star]))   # sorted for searchsorted
-    x = np.arange(N, dtype=np.uint32)
-    for r in used:
-        bit = gf2.parity_u32(x & np.uint32(r))
-        labels = (labels << 1) | bit.astype(np.int64)
+    for j in range(t.d):   # labels are linear in x: label(x ^ 2**j) = label(x) ^ label(2**j)
+        unit = sum((r >> j & 1) << (levels - 1 - i) for i, r in enumerate(used))
+        np.bitwise_xor(labels[: 1 << j], unit, out=labels[1 << j : 2 << j])
     return labels
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,13 @@ class TestMindist:
             capsys, ["mindist", str(DATA / "hamming_7_4.txt"), "--limit", "3"]
         )
         assert code == 1 and "refus" in err
+
+    @pytest.mark.parametrize("limit,code", [("33", 1), ("32", 0)])
+    def test_limit_capped_at_hard_max_d(self, capsys, limit, code):
+        got, out, err = run(capsys, ["mindist", str(DATA / "hamming_7_4.txt"), "--limit", limit])
+        assert got == code
+        assert ("min_distance: 3" in out) == (code == 0)
+        assert ("--limit must be at most 32" in err) == (code == 1)
 
 
 class TestConvert:
@@ -198,6 +206,11 @@ class TestRoutes:
         code, _, err = run(capsys, ["routes", str(cube), "--dest", "000"])
         assert code == 1
 
+    def test_source_out_of_range(self, capsys, folded3_file):
+        code, out, err = run(capsys, ["routes", folded3_file, "--dest", "011", "--src", "1111"])
+        assert code == 1 and out == ""
+        assert "source out of range for d=3" in err
+
 
 class TestFtableClusterVerify:
     def test_ftable_csv(self, capsys, folded3_file):
@@ -239,6 +252,22 @@ class TestFtableClusterVerify:
         labels = topology.cluster(t, levels).tolist()
         assert code == 0
         assert out == "node,label\n" + "".join(f"{x:06b},{labels[x]}\n" for x in range(64))
+
+    def test_cluster_file_streams_render_blocks(self, tmp_path):
+        # labels (N int64) plus a few blocks of rows; never the whole CSV at once
+        t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
+        path, out = tmp_path / "h.hops", tmp_path / "clusters.csv"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["cluster", str(path), "--levels", "3", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        row = t.d + len(",7\n")
+        assert out.stat().st_size == len("node,label\n") + t.N * row
+        assert peak < t.N * 8 + 6 * cli._RENDER_ROWS * row
 
     @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
     def test_allow_large_refused_where_unused(self, capsys, folded3_file, command):
@@ -306,6 +335,15 @@ class TestCompareCommand:
     def test_missing_lh_is_input_error(self, capsys):
         code, _, err = run(capsys, ["compare", "--ports", "131072", "--radix", "64"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--ports", "--radix"])
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_refused(self, capsys, flag, value):
+        values = {"--ports": "131072", "--radix": "64", flag: value}
+        code, out, err = run(capsys, ["compare", *(x for kv in values.items() for x in kv),
+                                      "--lh", "13,48,16"])
+        assert code == 1 and out == ""
+        assert f"{flag[2:]} must be positive and finite, got {float(value)}" in err
 
     def test_bad_triple(self, capsys):
         code, _, err = run(

@@ -50,6 +50,12 @@ COMMANDS = [
     ["mindist"],
     ["verify"],
     ["verify", "--edge-list"],
+    ["convert", "--to-hops"],
+    ["convert", "--to-code"],
+    ["cluster", "--levels", "1"],
+    ["routes", "--dest", "1", "--diversity", "2"],
+    ["ftable", "--diversity", "2"],
+    ["compare", "--ports", "1000", "--radix", "64", "--lh-code"],
 ]
 
 

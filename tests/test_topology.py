@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestBisection:
         spec = bisection_scan(t)
         assert spec.cuts.tolist() == scalar_cuts(t)
         assert (spec.cuts == bisection_fwht(t).cuts).all()
+
+    def test_scan_holds_one_spectrum_array(self):
+        # cuts (N int64) plus the engine's table, buffer and two live chunks of
+        # 2**_TABLE_BITS words, with one chunk to spare; no stored eigenvalues
+        t = random_topology(random.Random(18), 18, 64)
+        tracemalloc.start()
+        try:
+            spec = bisection_scan(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.b == int(spec.cuts[1:].min())
+        assert peak < t.N * 8 + 5 * (8 << gf2._TABLE_BITS)
 
 
 class TestVerifyCutCheck:
