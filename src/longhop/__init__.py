@@ -17,7 +17,6 @@ from .routing import (
     Unroutable,
     disjoint_paths,
     forwarding_table,
-    route,
     shortest_paths,
     simulate_forwarding,
 )

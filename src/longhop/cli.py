@@ -20,7 +20,7 @@ import numpy as np
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
 MAX_LISTED_ARGMIN = 64
-_RENDER_ROWS = 1 << 16   # cluster CSV rows rendered per block
+_RENDER_ROWS = 1 << 16   # spectrum and cluster rows rendered per block
 
 
 class _UsageError(Exception):
@@ -88,13 +88,18 @@ def _cmd_bisect(args) -> int:
         f"B_links: {spectrum_result.links}",
         "argmin_r: " + ",".join(shown) + (f" (+{extra} more)" if extra > 0 else ""),
     ]
-    if args.spectrum:
-        lines.append("r cut alpha")
-        spec = f"0{t.d}b"
-        pairs = zip(spectrum_result.cuts.tolist(), spectrum_result.alphas.tolist())
-        lines += [f"{r:{spec}} {cut} {alpha}" for r, (cut, alpha) in enumerate(pairs)]
-    _write_output("\n".join(lines) + "\n", args.output)
+    rows = _render_spectrum(spectrum_result.cuts, t.m, t.d) if args.spectrum else ()
+    _write_output(itertools.chain(["\n".join(lines) + "\n"], rows), args.output)
     return 0
+
+
+def _render_spectrum(cuts: np.ndarray, m: int, d: int) -> Iterator[str]:
+    """Yield the `r cut alpha` table: its header, then blocks of rows."""
+    spec = f"0{d}b"
+    yield "r cut alpha\n"
+    for lo in range(0, cuts.size, _RENDER_ROWS):
+        rows = cuts[lo : lo + _RENDER_ROWS].tolist()
+        yield "".join(f"{r:{spec}} {cut} {m - 2 * cut}\n" for r, cut in enumerate(rows, lo))
 
 
 def _cmd_mindist(args) -> int:
@@ -180,7 +185,7 @@ def _cmd_routes(args) -> int:
     if src == dst:
         raise ValueError("source equals destination")
     yrel = src ^ dst
-    if args.diversity:
+    if args.diversity is not None:
         paths = routing.disjoint_paths(t, yrel, args.diversity)
         kind = "disjoint"
     else:

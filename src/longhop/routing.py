@@ -8,8 +8,10 @@ backtracking (the same port twice in a row) is never generated.
 
 Edge-disjoint path sets are built greedily: all shortest paths in
 lexicographic port order first, then paths exactly one hop longer, and so
-on, until the requested diversity Q is reached.  Path selectors apply at
-the source; after the first hop a packet follows selector-1 (shortest)
+on, until the requested diversity Q is reached.  An undirected edge is the
+integer id min(x, x ^ h_p) * m + p (port p from node x); `path_edges` is
+the one place that knows this encoding.  Path selectors apply at the
+source; after the first hop a packet follows selector-1 (shortest)
 entries, which guarantees convergence of table-driven forwarding.
 """
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "shortest_paths",
     "disjoint_paths",
     "forwarding_table",
-    "route",
     "simulate_forwarding",
     "path_nodes",
     "path_edges",
@@ -58,37 +59,37 @@ def path_nodes(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> list
     return nodes
 
 
-def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> frozenset[tuple[int, int]]:
-    """Undirected edge set of a path, translated along the walk."""
-    edges = set()
+def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> frozenset[int]:
+    """Undirected edges of the walk of `path` from `start`, as integer ids:
+    port p from node x is the edge min(x, x ^ h_p) * m + p."""
     nodes = path_nodes(t, path, start)
-    for u, v in zip(nodes, nodes[1:]):
-        edges.add((u, v) if u < v else (v, u))
-    return frozenset(edges)
+    return frozenset(min(u, v) * t.m + p for u, v, p in zip(nodes, nodes[1:], path))
 
 
 def _walks_exact(
-    t: CayleyTopology, yrel: int, length: int, dist: np.ndarray
+    t: CayleyTopology, yrel: int, length: int, dist: bytes
 ) -> Iterator[tuple[int, ...]]:
     """All non-backtracking port sequences of exactly `length` hops that XOR
-    to yrel, yielded in lexicographic order."""
-    hops = t.hops
-    m = t.m
+    to yrel, yielded in lexicographic order.
 
-    def rec(prev_port: int, acc: int, seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        remaining = length - len(seq)
-        if remaining == 0:
-            if acc == yrel:
-                yield seq
-            return
-        if dist[acc ^ yrel] > remaining:
-            return
-        for p in range(1, m + 1):
-            if p == prev_port:
-                continue
-            yield from rec(p, acc ^ hops[p - 1], seq + (p,))
+    `dist` is hop_distances(t) as bytes, and dist[yrel] <= length.  A step
+    is taken only when the remaining hops can still reach yrel, so every
+    walk of full length ends there.
+    """
+    ports = tuple(enumerate(t.hops, 1))
 
-    yield from rec(0, 0, ())
+    def rec(
+        prev_port: int, rest: int, seq: tuple[int, ...], left: int
+    ) ->Iterator[tuple[int, ...]]:
+        # `rest` is the XOR still to cover, `left` the hops after this step
+        for p, h in ports:
+            if p != prev_port and dist[rest ^ h] <= left:
+                if left:
+                    yield from rec(p, rest ^ h, seq + (p,), left - 1)
+                else:
+                    yield seq + (p,)
+
+    yield from rec(0, yrel, (), length - 1)
 
 
 def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
@@ -100,8 +101,8 @@ def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
     """
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    dist = hop_distances(t)
-    return list(_walks_exact(t, yrel, int(dist[yrel]), dist))
+    dist = hop_distances(t).tobytes()
+    return list(_walks_exact(t, yrel, dist[yrel], dist))
 
 
 def _check_diversity(t: CayleyTopology, q: int) -> None:
@@ -126,25 +127,24 @@ def disjoint_paths(
     _check_diversity(t, q)
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    return _disjoint_paths(t, yrel, q, extra_length, hop_distances(t))
+    return _disjoint_paths(t, yrel, q, extra_length, hop_distances(t).tobytes())
 
 
 def _disjoint_paths(
-    t: CayleyTopology, yrel: int, q: int, extra_length: int, dist: np.ndarray
+    t: CayleyTopology, yrel: int, q: int, extra_length: int, dist: bytes
 ) -> list[tuple[int, ...]]:
-    """disjoint_paths for validated arguments, given hop_distances(t)."""
-    base = int(dist[yrel])
+    """disjoint_paths for validated arguments, given hop_distances(t) as bytes."""
+    base = dist[yrel]
     chosen: list[tuple[int, ...]] = []
-    used: set[tuple[int, int]] = set()
+    used: set[int] = set()
     for length in range(base, base + extra_length + 1):
         for seq in _walks_exact(t, yrel, length, dist):
-            eset = path_edges(t, seq)
-            if eset & used:
-                continue
-            chosen.append(seq)
-            used |= eset
-            if len(chosen) == q:
-                return chosen
+            edges = path_edges(t, seq)
+            if used.isdisjoint(edges):
+                chosen.append(seq)
+                used |= edges
+                if len(chosen) == q:
+                    return chosen
     raise Unroutable(
         f"only {len(chosen)} edge-disjoint paths of length <= {base + extra_length} "
         f"exist for destination {yrel} (requested {q})",
@@ -152,25 +152,31 @@ def _disjoint_paths(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardingTable:
-    """(selector, relative destination) -> egress port, for one topology.
+    """Egress port per (selector, relative destination), for one topology.
 
-    Holds (N-1)*Q entries: Q selectors for each destination other than
-    self.  Node X forwards to Y by looking up Yrel = X XOR Y.
+    ports[s - 1, yrel] is the first hop of the s-th edge-disjoint path to
+    Yrel, for selectors 1..q and Yrel 1..N-1; column 0 (self) is unused.
+    Node X forwards to Y by looking up Yrel = X XOR Y.
     """
 
     d: int
     q: int
-    entries: dict[tuple[int, int], int]
+    ports: np.ndarray
 
     def egress(self, selector: int, yrel: int) -> int:
-        return self.entries[(selector, yrel)]
+        if not (1 <= selector <= self.q and 0 < yrel < self.ports.shape[1]):
+            raise KeyError((selector, yrel))
+        return int(self.ports[selector - 1, yrel])
 
     def to_csv(self) -> str:
         lines = ["selector,destination,egress_port"]
-        for (s, yrel), port in sorted(self.entries.items()):
-            lines.append(f"{s},{gf2.word_to_text(yrel, self.d)},{port}")
+        for s, row in enumerate(self.ports.tolist(), 1):
+            lines += [
+                f"{s},{gf2.word_to_text(yrel, self.d)},{port}"
+                for yrel, port in enumerate(row[1:], 1)
+            ]
         return "\n".join(lines) + "\n"
 
 
@@ -184,34 +190,11 @@ def forwarding_table(
     Vertex symmetry lets one distance vector serve every destination.
     """
     _check_diversity(t, q)
-    dist = hop_distances(t)
-    entries: dict[tuple[int, int], int] = {}
+    dist = hop_distances(t).tobytes()
+    ports = np.zeros((q, t.N), dtype=np.min_scalar_type(t.m))
     for yrel in range(1, t.N):
-        paths = _disjoint_paths(t, yrel, q, extra_length, dist)
-        for s, path in enumerate(paths, 1):
-            entries[(s, yrel)] = path[0]
-    return ForwardingTable(d=t.d, q=q, entries=entries)
-
-
-def route(t: CayleyTopology, x: int, y: int, s: int) -> tuple[int, ...]:
-    """The s-th edge-disjoint path from x to y (as a port sequence).
-
-    Identical to the s-th path from 0 to x XOR y; the greedy construction
-    is deterministic, so requesting q = s reproduces the same prefix.
-    """
-    if not (0 <= x < t.N and 0 <= y < t.N):
-        raise ValueError("node out of range")
-    if x == y:
-        raise ValueError("source equals destination")
-    try:
-        paths = disjoint_paths(t, x ^ y, s)
-    except Unroutable as exc:
-        raise Unroutable(
-            f"selector {s} exceeds the available path diversity "
-            f"({exc.achievable}) for this pair",
-            achievable=exc.achievable,
-        ) from exc
-    return paths[s - 1]
+        ports[:, yrel] = [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, dist)]
+    return ForwardingTable(d=t.d, q=q, ports=ports)
 
 
 def simulate_forwarding(

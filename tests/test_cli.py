@@ -206,6 +206,13 @@ class TestRoutes:
         code, _, err = run(capsys, ["routes", str(cube), "--dest", "000"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["routes", "--dest", "011"], ["ftable"]])
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_nonpositive_diversity_refused(self, capsys, folded3_file, command, q):
+        code, out, err = run(capsys, [command[0], folded3_file, *command[1:], "--diversity", q])
+        assert code == 1 and out == ""
+        assert f"diversity must be in 1..4, got {q}" in err
+
     def test_source_out_of_range(self, capsys, folded3_file):
         code, out, err = run(capsys, ["routes", folded3_file, "--dest", "011", "--src", "1111"])
         assert code == 1 and out == ""
@@ -252,6 +259,34 @@ class TestFtableClusterVerify:
         labels = topology.cluster(t, levels).tolist()
         assert code == 0
         assert out == "node,label\n" + "".join(f"{x:06b},{labels[x]}\n" for x in range(64))
+
+    def test_spectrum_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
+        t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        code, out, _ = run(capsys, ["bisect", str(path), "--spectrum"])
+        cuts = topology.bisection_fwht(t).cuts.tolist()
+        assert code == 0
+        assert out.endswith("r cut alpha\n" + "".join(
+            f"{r:06b} {cuts[r]} {t.m - 2 * cuts[r]}\n" for r in range(64)))
+
+    def test_spectrum_file_streams_render_blocks(self, tmp_path):
+        # the cuts (N int64), the scan's own N-entry temporaries, and a few
+        # blocks of rows; never the whole table at once
+        t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
+        path, out = tmp_path / "h.hops", tmp_path / "spectrum.txt"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["bisect", str(path), "--spectrum", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = out.read_text(encoding="ascii").split("r cut alpha\n")[1]
+        assert rows.count("\n") == t.N
+        assert peak < 2 * t.N * 8 + 6 * cli._RENDER_ROWS * (len(rows) // t.N)
 
     def test_cluster_file_streams_render_blocks(self, tmp_path):
         # labels (N int64) plus a few blocks of rows; never the whole CSV at once

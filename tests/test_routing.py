@@ -1,16 +1,18 @@
+import itertools
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from longhop import routing
+from longhop import gf2, routing
 from longhop.routing import (
     Unroutable,
     disjoint_paths,
     forwarding_table,
     path_edges,
-    path_nodes,
-    route,
     shortest_paths,
     simulate_forwarding,
 )
@@ -28,6 +30,72 @@ def xor_of(t, path):
 
 def no_immediate_backtrack(path):
     return all(a != b for a, b in zip(path, path[1:]))
+
+
+def oracle_walks(t, length):
+    """Every non-backtracking sequence of `length` ports, grouped by the XOR
+    it reaches, each group in lexicographic order."""
+    walks = {}
+    for seq in itertools.product(range(1, t.m + 1), repeat=length):
+        if no_immediate_backtrack(seq):
+            walks.setdefault(xor_of(t, seq), []).append(seq)
+    return walks
+
+
+def oracle_disjoint_paths(t, walks, yrel, q, extra_length):
+    """The greedy of disjoint_paths over `walks` (walks[L] = oracle_walks(t, L)):
+    the q paths, or the achievable count when fewer exist.  Edges are node
+    pairs."""
+    shortest = next(length for length, w in enumerate(walks) if yrel in w)
+    chosen, used = [], set()
+    for length in range(shortest, shortest + extra_length + 1):
+        for seq in walks[length].get(yrel, []):
+            hops = (t.hops[p - 1] for p in seq)
+            nodes = list(itertools.accumulate(hops, operator.xor, initial=0))
+            edges = {(min(u, v), max(u, v)) for u, v in zip(nodes, nodes[1:])}
+            if not edges & used:
+                chosen.append(seq)
+                used |= edges
+                if len(chosen) == q:
+                    return chosen
+    return len(chosen)
+
+
+@st.composite
+def routing_cases(draw):
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(d, min(d + 2, (1 << d) - 1)))
+    words = st.integers(1, (1 << d) - 1)
+    hops = draw(st.lists(words, min_size=m, max_size=m, unique=True).filter(
+        lambda hops: gf2.rank(hops) == d))
+    return build(d, hops), draw(st.integers(1, m)), draw(st.integers(0, 2))
+
+
+@given(routing_cases())
+def test_disjoint_paths_and_table_match_oracle(case):
+    t, q, extra_length = case
+    walks = [oracle_walks(t, 0)]
+    while len(set().union(*walks)) < t.N:   # up to the diameter
+        walks.append(oracle_walks(t, len(walks)))
+    for _ in range(extra_length):
+        walks.append(oracle_walks(t, len(walks)))
+    rows = []
+    for yrel in range(1, t.N):
+        expected = oracle_disjoint_paths(t, walks, yrel, q, extra_length)
+        if isinstance(expected, int):
+            with pytest.raises(Unroutable) as exc:
+                disjoint_paths(t, yrel, q, extra_length=extra_length)
+            assert exc.value.achievable == expected
+        else:
+            assert disjoint_paths(t, yrel, q, extra_length=extra_length) == expected
+            rows += [(s, yrel, path[0]) for s, path in enumerate(expected, 1)]
+    if len(rows) < q * (t.N - 1):
+        with pytest.raises(Unroutable):
+            forwarding_table(t, q, extra_length=extra_length)
+        return
+    csv = "".join(f"{s},{yrel:0{t.d}b},{port}\n" for s, yrel, port in sorted(rows))
+    table = forwarding_table(t, q, extra_length=extra_length)
+    assert table.to_csv() == "selector,destination,egress_port\n" + csv
 
 
 class TestShortestPaths:
@@ -95,6 +163,22 @@ class TestDisjointPaths:
         assert lengths == sorted(lengths)
         assert lengths[0] == 2
 
+    def test_edge_ids_are_undirected(self, cube3):
+        # port p from node x is edge min(x, x ^ h_p) * m + p, whichever end walks it
+        assert path_edges(cube3, (1,), start=1) == path_edges(cube3, (1,)) == {1}
+        assert path_edges(cube3, (2, 1)) == {0 * 3 + 2, 2 * 3 + 1}
+
+    def test_every_candidate_goes_through_path_edges(self, cube3, monkeypatch):
+        # in enumeration order, none backtracking, each once
+        tried = []
+
+        def record(t, path, start=0):
+            tried.append(path)
+            return path_edges(t, path, start)
+
+        monkeypatch.setattr(routing, "path_edges", record)
+        assert disjoint_paths(cube3, 0b001, 3) == tried == [(1,), (2, 1, 2), (3, 1, 3)]
+
     def test_diversity_bounds(self, cube3):
         with pytest.raises(ValueError):
             disjoint_paths(cube3, 1, 0)
@@ -120,7 +204,14 @@ class TestDisjointPaths:
 class TestForwardingTable:
     def test_entry_count(self, cube3):
         table = forwarding_table(cube3, 2)
-        assert len(table.entries) == 14  # (N-1) * Q
+        assert table.ports.shape == (2, 8) and table.ports.dtype == np.uint8
+        assert table.ports[:, 1:].all()  # (N-1) * Q entries; column 0 unused
+
+    def test_egress_out_of_range(self, cube3):
+        table = forwarding_table(cube3, 2)
+        for selector, yrel in ((0, 1), (3, 1), (1, 0), (1, 8)):
+            with pytest.raises(KeyError):
+                table.egress(selector, yrel)
 
     def test_selector_spread_full_diversity(self, cube3):
         table = forwarding_table(cube3, 3)
@@ -151,11 +242,10 @@ class TestForwardingTable:
     def test_matches_per_destination_disjoint_paths(self):
         t = random_topology(random.Random(6), 6, 10)
         q = 3
-        entries = {}
+        ports = np.zeros((q, t.N), dtype=np.uint8)
         for yrel in range(1, t.N):
-            for s, path in enumerate(disjoint_paths(t, yrel, q), 1):
-                entries[(s, yrel)] = path[0]
-        expected = routing.ForwardingTable(d=t.d, q=q, entries=entries).to_csv()
+            ports[:, yrel] = [path[0] for path in disjoint_paths(t, yrel, q)]
+        expected = routing.ForwardingTable(d=t.d, q=q, ports=ports).to_csv()
         assert forwarding_table(t, q).to_csv() == expected
 
     def test_bad_diversity_rejected_before_bfs(self, cube3, monkeypatch):
@@ -174,23 +264,3 @@ class TestForwardingTable:
         assert lines[1] == "1,001,1"
         assert len(lines) == 8
 
-
-class TestRoute:
-    def test_source_equals_destination(self, cube3):
-        with pytest.raises(ValueError):
-            route(cube3, 5, 5, 1)
-
-    def test_walk_ends_at_destination(self, cube3):
-        path = route(cube3, 2, 5, 1)
-        assert path_nodes(cube3, path, start=2)[-1] == 5
-
-    def test_translation_invariance(self, cube3):
-        assert route(cube3, 2, 5, 2) == route(cube3, 0, 2 ^ 5, 2)
-
-    def test_two_node_network(self):
-        t = build(1, [1])
-        assert route(t, 0, 1, 1) == (1,)
-
-    def test_selector_beyond_port_count(self, cube3):
-        with pytest.raises(ValueError):
-            route(cube3, 0, 1, 4)  # s > m
