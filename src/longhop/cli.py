@@ -75,10 +75,9 @@ def _cmd_bisect(args) -> int:
             "argmin_r": shown,
             "argmin_count": len(argmin),
         }
-        if args.spectrum:
-            payload["cuts"] = spectrum_result.cuts.tolist()
-            payload["alphas"] = spectrum_result.alphas.tolist()
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        head = json.dumps(payload, indent=2)[: -len("\n}")]
+        rows = _render_json_spectrum(spectrum_result.cuts, t.m) if args.spectrum else ()
+        _write_output(itertools.chain([head], rows, ["\n}\n"]), args.output)
         return 0
     lines = [
         f"d: {t.d}",
@@ -100,6 +99,17 @@ def _render_spectrum(cuts: np.ndarray, m: int, d: int) -> Iterator[str]:
     for lo in range(0, cuts.size, _RENDER_ROWS):
         rows = cuts[lo : lo + _RENDER_ROWS].tolist()
         yield "".join(f"{r:{spec}} {cut} {m - 2 * cut}\n" for r, cut in enumerate(rows, lo))
+
+
+def _render_json_spectrum(cuts: np.ndarray, m: int) -> Iterator[str]:
+    """Yield the "cuts" and "alphas" members laid out as json.dumps(...,
+    indent=2) lays out the last members of an object, in blocks of entries."""
+    for key, column in (("cuts", lambda c: c), ("alphas", lambda c: m - 2 * c)):
+        sep = f',\n  "{key}": [\n    '
+        for lo in range(0, cuts.size, _RENDER_ROWS):
+            yield sep + ",\n    ".join(map(str, column(cuts[lo : lo + _RENDER_ROWS]).tolist()))
+            sep = ",\n    "
+        yield "\n  ]"
 
 
 def _cmd_mindist(args) -> int:
@@ -145,7 +155,7 @@ def _cmd_optimize(args) -> int:
                     f" expected (d={args.d}, m={args.m})"
                 )
         else:
-            topology._check_cap(args.d, topology.DEFAULT_MAX_D)   # before any word is built
+            topology.check_cap(args.d, topology.DEFAULT_MAX_D)   # before any word is built
             if args.m < args.d:
                 raise ValueError(f"m={args.m} must be at least d={args.d}")
             if args.m - args.d > (1 << args.d) - 1 - args.d:
@@ -274,36 +284,20 @@ def _cmd_verify(args) -> int:
         out.write(f"bruteforce_bisection_links: {links}\n")
         return 0
     t, max_d = _load_topology(args.hopfile, args.allow_large)
-    scan = topology.bisection_scan(t, max_d=max_d)
     fwht = topology.bisection_fwht(t, max_d=max_d)
-    agree = scan.b == fwht.b and (scan.cuts == fwht.cuts).all()
-    out.write(f"scan_vs_fwht: {'OK' if agree else 'FAIL'} (b={scan.b}, B={scan.links} links)\n")
+    agree, lo = True, 0
+    for chunk in topology.cut_chunks(t):   # never the scan's full array next to the oracle's
+        agree &= np.array_equal(chunk, fwht.cuts[lo : lo + chunk.size])
+        lo += chunk.size
+    out.write(f"scan_vs_fwht: {'OK' if agree else 'FAIL'} (b={fwht.b}, B={fwht.links} links)\n")
     failed |= not agree
 
     rng = random.Random(args.seed)
     sample = sorted(rng.sample(range(1, t.N), min(64, t.N - 1)))
-    # explicit two-coloring x -> parity(r & x) as a bitmap (bit x & 63 of word
-    # x >> 6), moved along every hop; each crossing edge is seen from both ends
-    words = max(t.N >> 6, 1)
-    blocks = topology._hop_blocks(t.hops, words)
-    word_idx = np.arange(words, dtype=np.int64)
-    x = np.arange(min(t.N, 64), dtype=np.uint32)
-    ok_cut = True
-    for r in sample:
-        low = np.zeros(8, dtype=np.uint8)   # colors of x < 64, zero-padded when N < 64
-        bits = np.packbits(gf2.parity_u32(x & np.uint32(r)).astype(np.uint8), bitorder="little")
-        low[: bits.size] = bits
-        pattern = low.view("<u8").astype(np.uint64)
-        # parity(r & x) = parity(r & (x & 63)) ^ parity(r & (x >> 6 << 6))
-        flip = gf2.parity_u32(word_idx.astype(np.uint32) & np.uint32(r >> 6)).astype(bool)
-        color = np.where(flip, ~pattern, pattern)
-        crossing = sum(
-            int(np.bitwise_count(color ^ moved).sum())
-            for moved in topology._moves(color, blocks, word_idx)
-        ) // 2
-        if crossing != topology.cut_walsh(t, r) * (t.N // 2):
-            ok_cut = False
-            break
+    ok_cut = all(
+        links == topology.cut_walsh(t, r) * (t.N // 2)
+        for r, links in zip(sample, topology.crossing_links(t, sample))
+    )
     out.write(
         f"cut_correspondence: {'OK' if ok_cut else 'FAIL'} ({len(sample)} partitions checked)\n"
     )
@@ -311,7 +305,7 @@ def _cmd_verify(args) -> int:
 
     if t.N <= 20:
         brute = topology.bisection_bruteforce(list(t.edges()), t.N)
-        ok_brute = brute == scan.links
+        ok_brute = brute == fwht.links
         out.write(
             f"bruteforce_oracle: {'OK' if ok_brute else 'FAIL'} "
             f"(equipartition minimum {brute} links)\n"

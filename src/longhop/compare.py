@@ -100,23 +100,32 @@ def _int_ceil(x: float) -> int:
     return int(math.ceil(round(x, 9)))
 
 
-def model_hc(p: float, r: float) -> ComparisonRow:
-    """Trunked hypercube sized for p ports at radix r."""
+def _long_hop_cost(r: float, k: float, redundancy: float, delta: int):
+    """(Q, switches, ports per switch, cables per port) of the long-hop
+    network of an [n = k + redundancy, k, delta] code at radix r: trunking
+    Q = r/(n + delta), 2**k switches, delta*Q ports and n/(2*delta) cables
+    per port.  The grouping keeps the cubes' k + 1 and k + 3 one addition."""
+    q = r / (k + (redundancy + delta))
+    return q, 2.0**k, delta * q, (k + redundancy) / (2 * delta)
+
+
+def _cube(family: str, p: float, r: float, redundancy: int, delta: int, hops) -> ComparisonRow:
+    """The [D + redundancy, D, delta] codes' family sized for p ports at
+    radix r, its dimension D solved continuously; hops(D) is (max, avg)."""
     if p <= 0 or r <= 0:
         raise Infeasible("ports and radix must be positive")
-    dim = _solve_increasing(lambda d: r * 2.0**d / (d + 1), 1.0, 32.0, p)
-    q = r / (dim + 1)
-    note = "degenerate: dimension at lower bound" if dim <= 1 + 1e-9 else ""
-    return ComparisonRow(
-        family="HC",
-        params={"dimension": dim, "Q": q},
-        switches=2.0**dim,
-        ports_per_switch=q,
-        cables_per_port=dim / 2,
-        max_hops=_int_ceil(dim),
-        avg_hops=dim / 2,
-        note=note,
+    dim = _solve_increasing(
+        lambda d: delta * r * 2.0**d / (d + (redundancy + delta)), 1.0, 32.0, p
     )
+    q, *cost = _long_hop_cost(r, dim, redundancy, delta)
+    note = "degenerate: dimension at lower bound" if dim <= 1 + 1e-9 else ""
+    # fields in order: switches, ports_per_switch, cables_per_port, max_hops, avg_hops
+    return ComparisonRow(family, {"dimension": dim, "Q": q}, *cost, *hops(dim), note)
+
+
+def model_hc(p: float, r: float) -> ComparisonRow:
+    """Trunked hypercube sized for p ports at radix r: the [D, D, 1] code."""
+    return _cube("HC", p, r, 0, 1, lambda dim: (_int_ceil(dim), dim / 2))
 
 
 def _fc_avg_hops(dim: float) -> float:
@@ -125,22 +134,9 @@ def _fc_avg_hops(dim: float) -> float:
 
 
 def model_fc(p: float, r: float) -> ComparisonRow:
-    """Trunked folded hypercube sized for p ports at radix r."""
-    if p <= 0 or r <= 0:
-        raise Infeasible("ports and radix must be positive")
-    dim = _solve_increasing(lambda d: 2 * r * 2.0**d / (d + 3), 1.0, 32.0, p)
-    q = r / (dim + 3)
-    note = "degenerate: dimension at lower bound" if dim <= 1 + 1e-9 else ""
-    return ComparisonRow(
-        family="FC",
-        params={"dimension": dim, "Q": q},
-        switches=2.0**dim,
-        ports_per_switch=2 * q,
-        cables_per_port=(dim + 1) / 4,
-        max_hops=_int_ceil(dim / 2),
-        avg_hops=_fc_avg_hops(dim),
-        note=note,
-    )
+    """Trunked folded hypercube sized for p ports at radix r: the
+    [D + 1, D, 2] code."""
+    return _cube("FC", p, r, 1, 2, lambda dim: (_int_ceil(dim / 2), _fc_avg_hops(dim)))
 
 
 def model_ft(p: float, r: float, levels: int) -> ComparisonRow:
@@ -193,14 +189,12 @@ def model_lh(
         d, m, delta = code
     if d < 1 or m < d or delta < 1:
         raise ValueError(f"invalid code parameters (d={d}, m={m}, delta={delta})")
-    q = r / (m + delta)
+    q, switches, ports, cables = _long_hop_cost(r, d, m - d, delta)
     if q < 1 - 1e-9:
         raise Infeasible(
             f"radix {r:.6g} too small for m + delta = {m + delta} topological"
             " plus server ports"
         )
-    switches = float(1 << d)
-    ports = delta * q
     note = ""
     if abs(switches * ports - p) > 1e-3 * max(p, 1.0):
         note = f"supplies {switches * ports:.6g} ports, target {p:.6g}"
@@ -209,7 +203,7 @@ def model_lh(
         params={"d": float(d), "m": float(m), "delta": float(delta), "Q": q},
         switches=switches,
         ports_per_switch=ports,
-        cables_per_port=m / (2 * delta),
+        cables_per_port=cables,
         max_hops=max_hops,
         avg_hops=avg_hops,
         note=note,

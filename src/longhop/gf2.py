@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "parity",
-    "parity_u32",
     "weight",
     "walsh",
     "fwht",
@@ -33,20 +32,6 @@ _TABLE_BITS = 16   # codeword_weights tabulates the low r bits and yields one ch
 def parity(x: int) -> int:
     """XOR of all bits of x: 1 iff an odd number of bits are set."""
     return x.bit_count() & 1
-
-
-def parity_u32(a: np.ndarray) -> np.ndarray:
-    """Elementwise parity of a uint32 array, as a new uint32 array of 0/1.
-
-    Works in place: folds the bits of `a` into its low bit, so `a` is
-    overwritten; pass a temporary (such as `x & r`) to keep the input.
-    """
-    a ^= a >> np.uint32(16)
-    a ^= a >> np.uint32(8)
-    a ^= a >> np.uint32(4)
-    a ^= a >> np.uint32(2)
-    a ^= a >> np.uint32(1)
-    return a & np.uint32(1)
 
 
 def weight(x: int) -> int:

@@ -100,7 +100,7 @@ def greedy_improve(
     rs = np.arange(1 << d, dtype=np.uint32)
 
     def parity(h: int) -> np.ndarray:
-        return gf2.parity_u32(rs & np.uint32(h))
+        return np.bitwise_count(rs & np.uint32(h)) & 1
 
     evaluated = 1
     rounds = 0

@@ -2,26 +2,27 @@
 
 Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
 leads to x XOR hops[s-1].  Adjacency is never materialized; neighbors are
-computed by XOR on demand.  Breadth-first search (hop_distances) works on
-bit-packed node sets, N/8 bytes each, and moves a whole set along one hop
-with word-level XOR arithmetic, so its memory is O(N) bytes independent
-of m: at N = 2**24, m = 64, `distances` takes 3-4.5 s and 175 MiB peak
-RSS on a 2-vCPU VM.
+computed by XOR on demand.  Breadth-first search works on bit-packed node
+sets, N/8 bytes each, and moves a whole set along one hop with word-level
+XOR arithmetic, so its memory is O(N/8) bytes independent of m.
+hop_distances fills an N-byte vector from it; distances only popcounts
+each level: at N = 2**24, m = 64 it takes about 2.3 s and 47 MiB peak RSS
+on a 2-vCPU VM.
 
 The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
 node x on side parity(r & x).  Bisection in links is b * N/2.  C_r is the
 Hamming weight of the codeword r.G of the hop matrix G, so b is the
-code's minimum distance.  bisection_scan reads those weights from
-gf2.codeword_weights (about 0.15 s at d = 24, m = 64) into the one
-N-entry array a SpectrumResult holds; cluster reduces them chunk by chunk.
+code's minimum distance.  cut_chunks streams those weights from
+gf2.codeword_weights; bisection_scan collects them into the one N-entry
+array a SpectrumResult holds; cluster reduces them chunk by chunk.
 bisection_fwht reads the cuts off the Walsh transform as the oracle.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,11 +34,14 @@ __all__ = [
     "DistanceSummary",
     "build",
     "cut_walsh",
+    "cut_chunks",
+    "check_cap",
     "bisection_scan",
     "bisection_fwht",
     "bisection_bruteforce",
     "hop_distances",
     "distances",
+    "crossing_links",
     "cluster",
     "parse_hopset",
     "emit_hopset",
@@ -140,7 +144,8 @@ def cut_walsh(t: CayleyTopology, r: int) -> int:
     return sum((r & h).bit_count() & 1 for h in t.hops)
 
 
-def _check_cap(d: int, max_d: int) -> None:
+def check_cap(d: int, max_d: int) -> None:
+    """Refuse a dimension above min(max_d, HARD_MAX_D) with a ValueError."""
     cap = min(max_d, HARD_MAX_D)
     if d > cap:
         raise ValueError(
@@ -154,20 +159,25 @@ def _spectrum_from_cuts(cuts: np.ndarray, m: int) -> SpectrumResult:
     return SpectrumResult(cuts=cuts, m=m, b=b, argmin_rs=argmin)
 
 
-def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
-    """Exact bisection by direct evaluation of all N-1 Walsh cuts.
+def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
+    """Yield the Walsh cuts of r = 0 .. N-1 ascending, in int64 chunks.
 
     The cut of partition r is the Hamming weight of the codeword r.G of the
     hop matrix G (column s is hop s, row i holds bit i of every hop), which
-    gf2.codeword_weights streams in ascending chunks: O(N * ceil(m/64))
-    64-bit word work, about 0.15 s at d = 24, m = 64 on a 2-vCPU VM.  It
+    gf2.codeword_weights streams: O(N * ceil(m/64)) 64-bit word work.  It
     shares no code with the Walsh-Hadamard path of bisection_fwht, so each
     checks the other.
     """
-    _check_cap(t.d, max_d)
+    return gf2.codeword_weights(gf2.transpose(t.hops, t.d), t.m)
+
+
+def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
+    """Exact bisection by direct evaluation of all N-1 Walsh cuts, read from
+    cut_chunks: about 0.15 s at d = 24, m = 64 on a 2-vCPU VM."""
+    check_cap(t.d, max_d)
     cuts = np.empty(t.N, dtype=np.int64)
     lo = 0
-    for chunk in gf2.codeword_weights(gf2.transpose(t.hops, t.d), t.m):
+    for chunk in cut_chunks(t):
         cuts[lo : lo + chunk.size] = chunk
         lo += chunk.size
     return _spectrum_from_cuts(cuts, t.m)
@@ -181,7 +191,7 @@ def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
     bisection_scan (about 2 s at d = 24, m = 64) and kept as its
     independent oracle; the result is identical.
     """
-    _check_cap(t.d, max_d)
+    check_cap(t.d, max_d)
     cuts = np.zeros(t.N, dtype=np.int8)   # the hop set's indicator, its transform, then the cuts
     cuts[list(t.hops)] = 1
     cuts = gf2.fwht(cuts)
@@ -246,17 +256,20 @@ _SWAPS = tuple(
 _BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
 
 
-def _hop_blocks(hops: Sequence[int], words: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Hops grouped for _moves: per block, the word-index offsets (h >> 6)
-    and, for each swap j, the rows whose hop has bit j of h & 63 set."""
-    hops_arr = np.array(hops, dtype=np.int64)
-    size = max(_BLOCK_WORDS // words, 1)
+def _hop_blocks(t: CayleyTopology) -> tuple[list, np.ndarray]:
+    """The hops grouped for _moves, and the word indices of a node bitmap:
+    max(N/64, 1) uint64 words, node x being bit x & 63 of word x >> 6.  Per
+    block: the word-index offsets (h >> 6) and, for each swap j, the rows
+    whose hop has bit j of h & 63 set."""
+    word_idx = np.arange(max(t.N >> 6, 1), dtype=np.int64)
+    hops_arr = np.array(t.hops, dtype=np.int64)
+    size = max(_BLOCK_WORDS // word_idx.size, 1)
     blocks = []
     for lo in range(0, hops_arr.size, size):
         block = hops_arr[lo : lo + size]
         rows = [np.flatnonzero((block >> j) & 1) for j in range(6)]
         blocks.append((block >> 6, rows))
-    return blocks
+    return blocks, word_idx
 
 
 def _moves(bitmap: np.ndarray, blocks, word_idx: np.ndarray) -> Iterator[np.ndarray]:
@@ -271,43 +284,34 @@ def _moves(bitmap: np.ndarray, blocks, word_idx: np.ndarray) -> Iterator[np.ndar
         yield moved
 
 
-def _step(frontier: np.ndarray, blocks, word_idx: np.ndarray) -> np.ndarray:
-    """Bitmap of every node one hop away from a node of `frontier`."""
-    reach = np.zeros_like(frontier)
-    for moved in _moves(frontier, blocks, word_idx):
-        reach |= np.bitwise_or.reduce(moved, axis=0)
-    return reach
+def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
+    """Bitmaps of the nodes BFS first reaches at levels 0, 1, 2, ... from
+    node 0; the visited set is a bitmap too."""
+    blocks, word_idx = _hop_blocks(t)
+    frontier = np.zeros(word_idx.size, dtype=np.uint64)
+    frontier[0] = 1
+    visited = frontier.copy()
+    while frontier.any():
+        yield frontier
+        reach = np.zeros_like(frontier)   # every node one hop from the frontier
+        for moved in _moves(frontier, blocks, word_idx):
+            reach |= np.bitwise_or.reduce(moved, axis=0)
+        frontier = reach & ~visited
+        visited |= frontier
 
 
 def hop_distances(t: CayleyTopology) -> np.ndarray:
     """BFS hop distance from node 0 to every node (uint8 vector of length N).
 
-    The visited set, the frontier and each level's newly reached nodes are
-    bitmaps of max(N/64, 1) uint64 words; node x is bit x & 63 of word
-    x >> 6.  One hop h moves a bitmap by a word gather (index XOR h >> 6)
-    and at most six masked block swaps inside the words (bit i to bit
-    i ^ (h & 63)), so memory stays O(N) bytes whatever m is.  At d = 24,
-    m = 64 `distances` takes 3-4.5 s and 175 MiB peak RSS on a 2-vCPU VM.
-    uint8 suffices: a spanning hop set has diameter <= d <= 32.
+    Filled level by level from the bit-packed search, which holds O(N/8)
+    bytes whatever m is, so the vector is the one N-entry array.  uint8
+    suffices: a spanning hop set has diameter <= d <= 32.
     """
-    N = t.N
-    words = max(N >> 6, 1)
-    blocks = _hop_blocks(t.hops, words)
-    word_idx = np.arange(words, dtype=np.int64)
-    dist = np.zeros(N, dtype=np.uint8)
-    visited = np.zeros(words, dtype=np.uint64)
-    visited[0] = 1
-    frontier = visited.copy()
-    level = 0
-    while True:
-        level += 1
-        new = _step(frontier, blocks, word_idx) & ~visited
-        if not new.any():
-            return dist
-        visited |= new
+    dist = np.zeros(t.N, dtype=np.uint8)
+    for level, new in enumerate(_levels(t)):
         reached = np.unpackbits(new.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-        dist[reached[:N].view(bool)] = level
-        frontier = new
+        dist[reached[: t.N].view(bool)] = level
+    return dist
 
 
 @dataclass(frozen=True)
@@ -321,14 +325,35 @@ def distances(t: CayleyTopology) -> DistanceSummary:
     """Diameter, average hop count and distance histogram from node 0.
 
     Vertex symmetry makes the single-source view representative of every
-    node.  The average excludes the source itself (N-1 destinations).
+    node.  The average excludes the source itself (N-1 destinations).  The
+    histogram is the popcount of each BFS level's bitmap, so no N-entry
+    array is built.
     """
-    dist = hop_distances(t)
+    histogram = tuple(int(np.bitwise_count(new).sum()) for new in _levels(t))
     return DistanceSummary(
-        diameter=int(dist.max()),
-        mean=float(dist.sum()) / (t.N - 1),
-        histogram=tuple(int(c) for c in np.bincount(dist)),
+        diameter=len(histogram) - 1,
+        mean=sum(k * count for k, count in enumerate(histogram)) / (t.N - 1),
+        histogram=histogram,
     )
+
+
+def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
+    """Yield, for each r in rs, the links of the explicit graph that cross
+    the two-colouring x -> parity(r & x): the oracle for cut_walsh(t, r) * N/2.
+
+    Each colouring is a node bitmap moved along every hop; a crossing link
+    differs from its moved colour at both ends, so it is popcounted twice.
+    """
+    blocks, word_idx = _hop_blocks(t)
+    for r in rs:
+        # colours of x < 64 (zero above N - 1), flipped in word w by parity((r >> 6) & w)
+        low = np.uint64(sum(((r & x).bit_count() & 1) << x for x in range(min(t.N, 64))))
+        flip = (np.bitwise_count(word_idx & (r >> 6)) & 1).astype(bool)
+        colour = np.where(flip, ~low, low)
+        yield sum(
+            int(np.bitwise_count(colour ^ moved).sum())
+            for moved in _moves(colour, blocks, word_idx)
+        ) // 2
 
 
 def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np.ndarray:
@@ -347,7 +372,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
     """
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
-    _check_cap(t.d, max_d)
+    check_cap(t.d, max_d)
     labels = np.zeros(t.N, dtype=np.int64)
     if levels == 0:
         return labels

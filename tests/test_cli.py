@@ -288,6 +288,42 @@ class TestFtableClusterVerify:
         assert rows.count("\n") == t.N
         assert peak < 2 * t.N * 8 + 6 * cli._RENDER_ROWS * (len(rows) // t.N)
 
+    @pytest.mark.parametrize("method", ["scan", "fwht"])
+    def test_json_spectrum_across_render_blocks(self, capsys, tmp_path, monkeypatch, method):
+        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
+        t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        code, out, _ = run(
+            capsys, ["bisect", str(path), "--method", method, "--format", "json", "--spectrum"])
+        s = topology.bisection_fwht(t)
+        payload = {
+            "d": 6, "m": t.m, "N": 64, "b": s.b, "B_links": s.links,
+            "argmin_r": [gf2.word_to_text(int(r), 6) for r in s.argmin_rs],
+            "argmin_count": int(s.argmin_rs.size),
+            "cuts": s.cuts.tolist(), "alphas": s.alphas.tolist(),
+        }
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_spectrum_file_streams_render_blocks(self, tmp_path):
+        # the cuts, the scan's N-entry temporaries and one block of entries at
+        # about 80 bytes each (a str object, its list slots, its joined text);
+        # never the whole payload or a list of N entries
+        t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
+        path, out = tmp_path / "h.hops", tmp_path / "spectrum.json"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["bisect", str(path), "--format", "json", "--spectrum", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = json.loads(out.read_text(encoding="ascii"))
+        assert len(payload["cuts"]) == len(payload["alphas"]) == t.N
+        assert peak < 2 * t.N * 8 + 80 * cli._RENDER_ROWS
+
     def test_cluster_file_streams_render_blocks(self, tmp_path):
         # labels (N int64) plus a few blocks of rows; never the whole CSV at once
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])

@@ -42,14 +42,6 @@ class TestParityWeight:
     def test_weight_mod_two_is_parity(self, x):
         assert gf2.weight(x) % 2 == gf2.parity(x)
 
-    @given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
-    def test_parity_u32_matches_scalar(self, xs):
-        a = np.array(xs, dtype=np.uint32)
-        got = gf2.parity_u32(a)
-        assert got.dtype == np.uint32
-        assert got.tolist() == [gf2.parity(x) for x in xs]
-        assert (a & np.uint32(1)).tolist() == got.tolist()  # folded in place
-
 
 class TestWalsh:
     def test_zero_index_vanishes(self):

@@ -17,6 +17,7 @@ from longhop.topology import (
     bisection_scan,
     build,
     cluster,
+    crossing_links,
     cut_walsh,
     distances,
     emit_hopset,
@@ -165,17 +166,20 @@ class TestCutWalsh:
         assert cut_walsh(folded3, 0) == 0
 
     def test_cut_correspondence_exhaustive(self):
-        # the Walsh cut (in units N/2) counts exactly the edges crossing the
-        # explicit two-coloring x -> walsh(r, x); exhaustive for d <= 6
+        # the Walsh cut (in units N/2) and the bitmap count of crossing_links
+        # both count exactly the edges crossing the explicit two-coloring
+        # x -> walsh(r, x); exhaustive for d <= 7, so one zero-padded bitmap
+        # word (d < 6), one full word (d = 6) and two words (d = 7)
         rng = random.Random(17)
-        for d in (2, 3, 5, 6):
+        for d in (2, 3, 4, 5, 6, 7):
             t = random_topology(rng, d, rng.randint(d, min(d + 3, (1 << d) - 1)))
             edges = list(t.edges())
-            for r in range(t.N):
-                crossing = sum(
-                    1 for u, v in edges if gf2.walsh(r, u) != gf2.walsh(r, v)
-                )
-                assert crossing == cut_walsh(t, r) * (t.N // 2)
+            counts = [
+                sum(1 for u, v in edges if gf2.walsh(r, u) != gf2.walsh(r, v))
+                for r in range(t.N)
+            ]
+            assert counts == [cut_walsh(t, r) * (t.N // 2) for r in range(t.N)]
+            assert list(crossing_links(t, range(t.N))) == counts
 
 
 class TestBisection:
@@ -292,6 +296,23 @@ class TestVerifyCutCheck:
         assert code == 0
         assert "cut_correspondence: OK" in out
 
+    def test_fails_on_corrupt_scan_chunk(self, tmp_path, monkeypatch):
+        # one of 16 engine chunks off by one at one entry: only the spectra differ
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 2)
+        engine = gf2.codeword_weights
+
+        def corrupt(rows, n):
+            for i, chunk in enumerate(engine(rows, n)):
+                if i == 5:
+                    chunk[1] += 1
+                yield chunk
+
+        monkeypatch.setattr(gf2, "codeword_weights", corrupt)
+        code, out = verify_output(random_topology(random.Random(6), 6, 9), tmp_path)
+        assert code == 1
+        assert "scan_vs_fwht: FAIL" in out
+        assert "cut_correspondence: OK" in out
+
     @pytest.mark.parametrize("d", [4, 9])
     def test_fails_on_wrong_cut(self, tmp_path, monkeypatch, d):
         t = random_topology(random.Random(d), d, d + 3)
@@ -362,6 +383,14 @@ class TestDistances:
                 frontier = nxt
             assert np.bincount(np.array(list(dist.values()))).tolist() == base.tolist()
 
+    @given(spanning_hopsets())
+    def test_summary_matches_hop_distances(self, t):
+        dist = topology.hop_distances(t)
+        summary = distances(t)
+        assert summary.histogram == tuple(np.bincount(dist).tolist())
+        assert summary.diameter == int(dist.max())
+        assert summary.mean == float(dist.sum()) / (t.N - 1)
+
     @settings(max_examples=300)
     @given(spanning_hopsets())
     def test_bitmap_bfs_matches_oracle(self, t):
@@ -375,7 +404,14 @@ class TestDistances:
         basis = [1 << i for i in range(d)]
         extras = [w for w in rng.sample(range(1, 1 << d), 2 * 64) if w not in basis]
         t = build(d, basis + extras[: 64 - d])
-        summary = distances(t)
+        tracemalloc.start()
+        try:
+            summary = distances(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few N/8-byte bitmaps and word-index arrays, never an N-entry array
+        assert peak < 2 * t.N
         assert sum(summary.histogram) == t.N
         assert 0 < summary.diameter <= d
         assert min(summary.histogram) > 0
