@@ -21,6 +21,7 @@ from .routing import (
     simulate_forwarding,
 )
 from .topology import (
+    Bisection,
     CayleyTopology,
     SpectrumResult,
     bisection_bruteforce,

@@ -13,14 +13,15 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
-MAX_LISTED_ARGMIN = 64
 _RENDER_ROWS = 1 << 16   # spectrum and cluster rows rendered per block
+# a source of the Walsh cuts in ascending chunks: topology.cut_chunks or walsh_chunks
+_Chunks = Callable[[topology.CayleyTopology], Iterable[np.ndarray]]
 
 
 class _UsageError(Exception):
@@ -59,55 +60,68 @@ def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopolog
 def _cmd_bisect(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
     if args.method == "fwht":
-        spectrum_result = topology.bisection_fwht(t, max_d=max_d)
+        topology.check_cap(t.d, max_d)
+        chunks = topology.walsh_chunks
+        result = topology.reduce_cuts(chunks(t))
     else:
-        spectrum_result = topology.bisection_scan(t, max_d=max_d)
-    argmin = [int(r) for r in spectrum_result.argmin_rs]
-    shown = [gf2.word_to_text(r, t.d) for r in argmin[:MAX_LISTED_ARGMIN]]
-    extra = len(argmin) - len(shown)
+        chunks = topology.cut_chunks
+        result = topology.bisection_scan(t, max_d=max_d)
+    shown = [gf2.word_to_text(r, t.d) for r in result.argmin_rs]
+    extra = result.argmin_count - len(shown)
     if args.format == "json":
         payload = {
             "d": t.d,
             "m": t.m,
             "N": t.N,
-            "b": spectrum_result.b,
-            "B_links": spectrum_result.links,
+            "b": result.b,
+            "B_links": result.links,
             "argmin_r": shown,
-            "argmin_count": len(argmin),
+            "argmin_count": result.argmin_count,
         }
         head = json.dumps(payload, indent=2)[: -len("\n}")]
-        rows = _render_json_spectrum(spectrum_result.cuts, t.m) if args.spectrum else ()
+        rows = _render_json_spectrum(chunks, t) if args.spectrum else ()
         _write_output(itertools.chain([head], rows, ["\n}\n"]), args.output)
         return 0
     lines = [
         f"d: {t.d}",
         f"m: {t.m}",
         f"N: {t.N}",
-        f"b: {spectrum_result.b}",
-        f"B_links: {spectrum_result.links}",
+        f"b: {result.b}",
+        f"B_links: {result.links}",
         "argmin_r: " + ",".join(shown) + (f" (+{extra} more)" if extra > 0 else ""),
     ]
-    rows = _render_spectrum(spectrum_result.cuts, t.m, t.d) if args.spectrum else ()
+    rows = _render_spectrum(chunks, t) if args.spectrum else ()
     _write_output(itertools.chain(["\n".join(lines) + "\n"], rows), args.output)
     return 0
 
 
-def _render_spectrum(cuts: np.ndarray, m: int, d: int) -> Iterator[str]:
-    """Yield the `r cut alpha` table: its header, then blocks of rows."""
-    spec = f"0{d}b"
+def _blocks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The cut chunks cut into blocks of at most _RENDER_ROWS entries."""
+    for chunk in chunks:
+        for lo in range(0, chunk.size, _RENDER_ROWS):
+            yield chunk[lo : lo + _RENDER_ROWS]
+
+
+def _render_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
+    """Yield the `r cut alpha` table: its header, then blocks of rows, from
+    one pass over chunks(t)."""
+    spec = f"0{t.d}b"
     yield "r cut alpha\n"
-    for lo in range(0, cuts.size, _RENDER_ROWS):
-        rows = cuts[lo : lo + _RENDER_ROWS].tolist()
-        yield "".join(f"{r:{spec}} {cut} {m - 2 * cut}\n" for r, cut in enumerate(rows, lo))
+    lo = 0
+    for block in _blocks(chunks(t)):
+        rows = block.tolist()
+        yield "".join(f"{r:{spec}} {cut} {t.m - 2 * cut}\n" for r, cut in enumerate(rows, lo))
+        lo += len(rows)
 
 
-def _render_json_spectrum(cuts: np.ndarray, m: int) -> Iterator[str]:
+def _render_json_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
     """Yield the "cuts" and "alphas" members laid out as json.dumps(...,
-    indent=2) lays out the last members of an object, in blocks of entries."""
-    for key, column in (("cuts", lambda c: c), ("alphas", lambda c: m - 2 * c)):
+    indent=2) lays out the last members of an object, in blocks of entries,
+    from one pass over chunks(t) per member."""
+    for key, column in (("cuts", lambda c: c), ("alphas", lambda c: t.m - 2 * c)):
         sep = f',\n  "{key}": [\n    '
-        for lo in range(0, cuts.size, _RENDER_ROWS):
-            yield sep + ",\n    ".join(map(str, column(cuts[lo : lo + _RENDER_ROWS]).tolist()))
+        for block in _blocks(chunks(t)):
+            yield sep + ",\n    ".join(map(str, column(block).tolist()))
             sep = ",\n    "
         yield "\n  ]"
 
@@ -284,11 +298,16 @@ def _cmd_verify(args) -> int:
         out.write(f"bruteforce_bisection_links: {links}\n")
         return 0
     t, max_d = _load_topology(args.hopfile, args.allow_large)
-    fwht = topology.bisection_fwht(t, max_d=max_d)
-    agree, lo = True, 0
-    for chunk in topology.cut_chunks(t):   # never the scan's full array next to the oracle's
-        agree &= np.array_equal(chunk, fwht.cuts[lo : lo + chunk.size])
-        lo += chunk.size
+    topology.check_cap(t.d, max_d)
+    agree = True
+
+    def oracle() -> Iterator[np.ndarray]:   # one pair of chunks at a time, never N entries
+        nonlocal agree
+        for scan, walsh in zip(topology.cut_chunks(t), topology.walsh_chunks(t)):
+            agree &= np.array_equal(scan, walsh)
+            yield walsh
+
+    fwht = topology.reduce_cuts(oracle())
     out.write(f"scan_vs_fwht: {'OK' if agree else 'FAIL'} (b={fwht.b}, B={fwht.links} links)\n")
     failed |= not agree
 

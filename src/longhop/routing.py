@@ -34,9 +34,16 @@ __all__ = [
     "path_nodes",
     "path_edges",
     "DEFAULT_EXTRA_LENGTH",
+    "MAX_WALK_SEARCHES",
 ]
 
 DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
+# forwarding_table refuses to run more (N - 1) * q walk searches than this.
+# One search takes 0.04-0.13 ms on a 2-vCPU VM (the [48,13,16] fixture
+# network: 1.2 s at q = 4, 17.6 s at q = 16), so the budget is at most
+# about 40 s; refusals estimate their time at _SEARCH_SECONDS per search.
+MAX_WALK_SEARCHES = 1 << 18
+_SEARCH_SECONDS = 1.5e-4
 
 
 class Unroutable(RuntimeError):
@@ -188,8 +195,16 @@ def forwarding_table(
     With full diversity, the q entries of one destination use q distinct
     egress ports (the paths are edge-disjoint already at the source).
     Vertex symmetry lets one distance vector serve every destination.
+    Refuses, before any search, tables of more than MAX_WALK_SEARCHES
+    (destination, selector) entries.
     """
     _check_diversity(t, q)
+    searches = (t.N - 1) * q
+    if searches > MAX_WALK_SEARCHES:
+        raise ValueError(
+            f"a forwarding table at d={t.d}, q={q} needs {searches} walk searches,"
+            f" about {searches * _SEARCH_SECONDS:.0f} s; the budget is {MAX_WALK_SEARCHES}"
+        )
     dist = hop_distances(t).tobytes()
     ports = np.zeros((q, t.N), dtype=np.min_scalar_type(t.m))
     for yrel in range(1, t.N):

@@ -14,9 +14,13 @@ the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
 node x on side parity(r & x).  Bisection in links is b * N/2.  C_r is the
 Hamming weight of the codeword r.G of the hop matrix G, so b is the
 code's minimum distance.  cut_chunks streams those weights from
-gf2.codeword_weights; bisection_scan collects them into the one N-entry
-array a SpectrumResult holds; cluster reduces them chunk by chunk.
-bisection_fwht reads the cuts off the Walsh transform as the oracle.
+gf2.codeword_weights in chunks of 2**min(d, 16) entries; reduce_cuts
+folds any such stream into b, the number of minimizers and the first
+MAX_LISTED_ARGMIN of them, so bisection_scan holds no N-entry array
+(the whole `bisect` command peaks at 32 MiB RSS at any d); cluster
+reduces the chunks too.  walsh_chunks yields the same chunks off
+Walsh-Hadamard transforms, the independent oracle; bisection_fwht places
+them in one N-entry array for the greedy search.
 """
 from __future__ import annotations
 
@@ -30,11 +34,14 @@ from . import gf2
 
 __all__ = [
     "CayleyTopology",
+    "Bisection",
     "SpectrumResult",
     "DistanceSummary",
     "build",
     "cut_walsh",
     "cut_chunks",
+    "walsh_chunks",
+    "reduce_cuts",
     "check_cap",
     "bisection_scan",
     "bisection_fwht",
@@ -48,10 +55,12 @@ __all__ = [
     "parse_edge_list",
     "DEFAULT_MAX_D",
     "HARD_MAX_D",
+    "MAX_LISTED_ARGMIN",
 ]
 
 DEFAULT_MAX_D = 24   # full-spectrum scans above this are refused unless overridden
 HARD_MAX_D = 32      # words are 32-bit at most
+MAX_LISTED_ARGMIN = 64   # minimizers a Bisection lists; it counts them all
 
 
 @dataclass(frozen=True)
@@ -108,19 +117,35 @@ def build(d: int, hops: Sequence[int]) -> CayleyTopology:
     return CayleyTopology(d=d, hops=tuple(int(h) for h in hops))
 
 
+@dataclass(frozen=True)
+class Bisection:
+    """b = min over r > 0 of the Walsh cuts of an N-node topology, in units
+    of N/2; argmin_count partitions r reach it, and argmin_rs lists the
+    first MAX_LISTED_ARGMIN of them ascending."""
+
+    N: int
+    b: int
+    argmin_count: int
+    argmin_rs: tuple[int, ...]
+
+    @property
+    def links(self) -> int:
+        """Bisection in links: b * N/2."""
+        return self.b * (self.N // 2)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Full cut spectrum of a topology with m hops.
 
     cuts[r] is the cut of the Walsh partition r in units of N/2, the one
-    N-entry array held; b = min over r > 0 of cuts[r]; argmin_rs lists
-    every minimizing r.  alphas derives the adjacency eigenvalues.
+    N-entry array held; b = min over r > 0 of cuts[r].  alphas derives the
+    adjacency eigenvalues.
     """
 
     cuts: np.ndarray
     m: int
     b: int
-    argmin_rs: np.ndarray
 
     @property
     def N(self) -> int:
@@ -153,51 +178,84 @@ def check_cap(d: int, max_d: int) -> None:
         )
 
 
-def _spectrum_from_cuts(cuts: np.ndarray, m: int) -> SpectrumResult:
-    b = int(cuts[1:].min())
-    argmin = np.flatnonzero(cuts[1:] == b).astype(np.int64) + 1
-    return SpectrumResult(cuts=cuts, m=m, b=b, argmin_rs=argmin)
-
-
 def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
-    """Yield the Walsh cuts of r = 0 .. N-1 ascending, in int64 chunks.
+    """Yield the Walsh cuts of r = 0 .. N-1 ascending, in int64 chunks of
+    2**min(d, gf2._TABLE_BITS) entries.
 
     The cut of partition r is the Hamming weight of the codeword r.G of the
     hop matrix G (column s is hop s, row i holds bit i of every hop), which
     gf2.codeword_weights streams: O(N * ceil(m/64)) 64-bit word work.  It
-    shares no code with the Walsh-Hadamard path of bisection_fwht, so each
-    checks the other.
+    shares no code with walsh_chunks, so each checks the other.
     """
     return gf2.codeword_weights(gf2.transpose(t.hops, t.d), t.m)
 
 
-def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
-    """Exact bisection by direct evaluation of all N-1 Walsh cuts, read from
-    cut_chunks: about 0.15 s at d = 24, m = 64 on a 2-vCPU VM."""
-    check_cap(t.d, max_d)
-    cuts = np.empty(t.N, dtype=np.int64)
-    lo = 0
-    for chunk in cut_chunks(t):
-        cuts[lo : lo + chunk.size] = chunk
+def walsh_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
+    """Yield the same int64 chunks as cut_chunks, read off Walsh-Hadamard
+    transforms: O(N * min(d, gf2._TABLE_BITS)) work, about 0.7 s at d = 24,
+    m = 64 on a 2-vCPU VM.
+
+    With L = min(d, gf2._TABLE_BITS) and r = u * 2**L + v, the adjacency
+    eigenvalue alpha_r = sum_s (-1)**parity(r & h_s) is the length-2**L
+    gf2.fwht, at v, of f_u[y] = sum over the hops s whose low L bits are y
+    of (-1)**parity(u & (h_s >> L)); the cut is (m - alpha_r)/2.  At d <= L
+    this is the one transform of the hop set's indicator vector.
+    """
+    low = min(t.d, gf2._TABLE_BITS)   # the chunk layout of gf2.codeword_weights
+    hops = np.array(t.hops, dtype=np.uint64)
+    y = (hops & np.uint64((1 << low) - 1)).astype(np.intp)
+    high = hops >> np.uint64(low)
+    for u in range(1 << (t.d - low)):
+        # int64 before 1 - 2 * parity: bitwise_count is uint8, which wraps
+        sign = 1 - 2 * (np.bitwise_count(high & np.uint64(u)).astype(np.int64) & 1)
+        f = np.zeros(1 << low, dtype=np.int64)
+        np.add.at(f, y, sign)
+        cuts = gf2.fwht(f)
+        np.subtract(t.m, cuts, out=cuts)
+        cuts //= 2
+        yield cuts
+
+
+def reduce_cuts(chunks: Iterable[np.ndarray]) -> Bisection:
+    """The Bisection of the cuts of r = 0, 1, 2, ... streamed in chunks, as
+    cut_chunks and walsh_chunks yield them; r = 0 is no partition."""
+    b: int | None = None
+    count, listed, lo = 0, [], 0
+    for chunk in chunks:
+        skip = 1 if lo == 0 else 0
+        part = chunk[skip:]
+        if part.size:
+            low = int(part.min())
+            if b is None or low < b:
+                b, count, listed = low, 0, []
+            if low == b:
+                hits = np.flatnonzero(part == low)
+                count += hits.size
+                listed += (hits[: MAX_LISTED_ARGMIN - len(listed)] + (lo + skip)).tolist()
         lo += chunk.size
-    return _spectrum_from_cuts(cuts, t.m)
+    return Bisection(N=lo, b=b, argmin_count=count, argmin_rs=tuple(listed))
+
+
+def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Bisection:
+    """Exact bisection reduced from cut_chunks, chunk by chunk: about 0.04 s
+    at d = 24, m = 64 on a 2-vCPU VM, and O(2**16) memory at any d."""
+    check_cap(t.d, max_d)
+    return reduce_cuts(cut_chunks(t))
 
 
 def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
-    """Exact bisection via the fast Walsh-Hadamard transform, O(N log N).
+    """Full cut spectrum from walsh_chunks, placed in one N-entry array.
 
-    The transform of the hop set's indicator vector at r is the adjacency
-    eigenvalue alpha_r, and cuts follow as (m - alpha_r)/2.  Slower than
-    bisection_scan (about 2 s at d = 24, m = 64) and kept as its
-    independent oracle; the result is identical.
+    Kept as the independent oracle of the popcount engine (cut_chunks) and
+    for the greedy search, which scores candidates from the whole spectrum.
     """
     check_cap(t.d, max_d)
-    cuts = np.zeros(t.N, dtype=np.int8)   # the hop set's indicator, its transform, then the cuts
-    cuts[list(t.hops)] = 1
-    cuts = gf2.fwht(cuts)
-    np.subtract(t.m, cuts, out=cuts)
-    cuts //= 2
-    return _spectrum_from_cuts(cuts, t.m)
+    cuts = np.empty(t.N, dtype=np.int64)
+    lo = 0
+    for chunk in walsh_chunks(t):
+        cuts[lo : lo + chunk.size] = chunk
+        lo += chunk.size
+    return SpectrumResult(cuts=cuts, m=t.m, b=int(cuts[1:].min()))
 
 
 def bisection_bruteforce(edges: Sequence[tuple[int, int]], n: int) -> int:

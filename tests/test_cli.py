@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import time
 import tracemalloc
 
 import pytest
 
-from longhop import cli, gf2, topology
+from longhop import cli, gf2, routing, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -56,6 +58,7 @@ class TestBisect:
             raise AssertionError("bisect ran the fwht oracle by default")
 
         monkeypatch.setattr(topology, "bisection_fwht", oracle_only)
+        monkeypatch.setattr(topology, "walsh_chunks", oracle_only)
         code, out, _ = run(capsys, ["bisect", folded3_file])
         assert code == 0 and "b: 2" in out
 
@@ -227,6 +230,18 @@ class TestFtableClusterVerify:
         assert lines[0] == "selector,destination,egress_port"
         assert len(lines) == 1 + 7 * 2
 
+    @pytest.mark.parametrize("d,q", [(19, 1), (24, 4)])
+    def test_ftable_refused_above_budget(self, capsys, tmp_path, d, q):
+        path = tmp_path / "big.hops"
+        path.write_text(topology.emit_hopset(topology.build(d, [1 << i for i in range(d)])))
+        began = time.perf_counter()
+        code, out, err = run(capsys, ["ftable", str(path), "--diversity", str(q)])
+        assert time.perf_counter() - began < 0.5   # refused before the BFS or any search
+        assert code == 1 and out == ""
+        searches = ((1 << d) - 1) * q
+        assert f"d={d}, q={q} needs {searches} walk searches, about" in err
+        assert f"the budget is {routing.MAX_WALK_SEARCHES}" in err
+
     def test_cluster(self, capsys, folded3_file):
         code, out, _ = run(capsys, ["cluster", folded3_file, "--levels", "1"])
         assert code == 0
@@ -272,8 +287,8 @@ class TestFtableClusterVerify:
             f"{r:06b} {cuts[r]} {t.m - 2 * cuts[r]}\n" for r in range(64)))
 
     def test_spectrum_file_streams_render_blocks(self, tmp_path):
-        # the cuts (N int64), the scan's own N-entry temporaries, and a few
-        # blocks of rows; never the whole table at once
+        # the engine's chunks of 2**_TABLE_BITS words and a few blocks of
+        # rows; never the whole table or an N-entry array at once
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "spectrum.txt"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -286,7 +301,7 @@ class TestFtableClusterVerify:
         assert code == 0
         rows = out.read_text(encoding="ascii").split("r cut alpha\n")[1]
         assert rows.count("\n") == t.N
-        assert peak < 2 * t.N * 8 + 6 * cli._RENDER_ROWS * (len(rows) // t.N)
+        assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * cli._RENDER_ROWS * (len(rows) // t.N)
 
     @pytest.mark.parametrize("method", ["scan", "fwht"])
     def test_json_spectrum_across_render_blocks(self, capsys, tmp_path, monkeypatch, method):
@@ -297,19 +312,20 @@ class TestFtableClusterVerify:
         code, out, _ = run(
             capsys, ["bisect", str(path), "--method", method, "--format", "json", "--spectrum"])
         s = topology.bisection_fwht(t)
+        argmin = [r for r in range(1, 64) if s.cuts[r] == s.b]
         payload = {
             "d": 6, "m": t.m, "N": 64, "b": s.b, "B_links": s.links,
-            "argmin_r": [gf2.word_to_text(int(r), 6) for r in s.argmin_rs],
-            "argmin_count": int(s.argmin_rs.size),
+            "argmin_r": [gf2.word_to_text(r, 6) for r in argmin],
+            "argmin_count": len(argmin),
             "cuts": s.cuts.tolist(), "alphas": s.alphas.tolist(),
         }
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_json_spectrum_file_streams_render_blocks(self, tmp_path):
-        # the cuts, the scan's N-entry temporaries and one block of entries at
-        # about 80 bytes each (a str object, its list slots, its joined text);
-        # never the whole payload or a list of N entries
+        # the engine's chunks and one block of entries at about 80 bytes each
+        # (a str object, its list slots, its joined text); never the whole
+        # payload, a list of N entries or an N-entry array
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "spectrum.json"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -322,7 +338,7 @@ class TestFtableClusterVerify:
         assert code == 0
         payload = json.loads(out.read_text(encoding="ascii"))
         assert len(payload["cuts"]) == len(payload["alphas"]) == t.N
-        assert peak < 2 * t.N * 8 + 80 * cli._RENDER_ROWS
+        assert peak < 5 * (8 << gf2._TABLE_BITS) + 80 * cli._RENDER_ROWS
 
     def test_cluster_file_streams_render_blocks(self, tmp_path):
         # labels (N int64) plus a few blocks of rows; never the whole CSV at once
@@ -339,6 +355,30 @@ class TestFtableClusterVerify:
         row = t.d + len(",7\n")
         assert out.stat().st_size == len("node,label\n") + t.N * row
         assert peak < t.N * 8 + 6 * cli._RENDER_ROWS * row
+
+    @pytest.mark.parametrize("argv,chunks", [
+        (["bisect"], 5), (["bisect", "--format", "json"], 5),
+        (["bisect", "--method", "fwht"], 5), (["bisect", "--method", "fwht", "--format", "json"], 5),
+        (["verify"], 10),
+    ], ids=["bisect", "bisect-json", "fwht", "fwht-json", "verify"])
+    def test_spectral_answers_hold_no_n_entry_array(self, tmp_path, argv, chunks):
+        # at d = 20 an N-entry int64 array is 16 chunks of 2**_TABLE_BITS
+        # words; bisect holds the engine's or the transform's few chunks,
+        # verify one pair of each plus the bitmaps of its cut check
+        t = topology.build(20, [1 << i for i in range(20)] + [0xFFFFF, 0x55555, 0xAAAAA, 0x0F0F0])
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main([argv[0], str(path), *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert f"{topology.bisection_fwht(t).b * (t.N // 2)}" in out.getvalue()
+        assert peak < chunks * (8 << gf2._TABLE_BITS) < t.N * 8
 
     @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
     def test_allow_large_refused_where_unused(self, capsys, folded3_file, command):

@@ -257,6 +257,19 @@ class TestForwardingTable:
             with pytest.raises(ValueError, match="diversity"):
                 forwarding_table(cube3, q)
 
+    def test_walk_search_budget(self, folded3, monkeypatch):
+        # (N - 1) * q = 7 * 2 searches: refused one below, built at the budget
+        def no_bfs(t):
+            raise AssertionError("hop_distances ran before the budget was checked")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "MAX_WALK_SEARCHES", 13)
+            mp.setattr(routing, "hop_distances", no_bfs)
+            with pytest.raises(ValueError, match="needs 14 walk searches, about 0 s; the budget is 13"):
+                forwarding_table(folded3, 2)
+        monkeypatch.setattr(routing, "MAX_WALK_SEARCHES", 14)
+        assert forwarding_table(folded3, 2).ports.shape == (2, 8)
+
     def test_csv_format(self, cube3):
         table = forwarding_table(cube3, 1)
         lines = table.to_csv().splitlines()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longhop import cli, gf2, topology
+from longhop import cli, codes, gf2, topology
+from longhop.construct import code_to_network
 from longhop.topology import (
     CayleyTopology,
     bisection_bruteforce,
@@ -18,14 +19,17 @@ from longhop.topology import (
     build,
     cluster,
     crossing_links,
+    cut_chunks,
     cut_walsh,
     distances,
     emit_hopset,
     parse_edge_list,
     parse_hopset,
+    reduce_cuts,
+    walsh_chunks,
 )
 
-from conftest import folded_cube, hypercube, random_topology
+from conftest import DATA, folded_cube, hypercube, random_topology
 
 
 def oracle_hop_distances(t):
@@ -104,6 +108,23 @@ def wide_hopsets(draw, max_d=10, max_m=150):
 
 def scalar_cuts(t):
     return [cut_walsh(t, r) for r in range(t.N)]
+
+
+def engine_cuts(t):
+    """Every chunk of cut_chunks, concatenated."""
+    return np.concatenate(list(topology.cut_chunks(t)))
+
+
+def listed_bisection(cuts):
+    """(b, argmin count, first MAX_LISTED_ARGMIN minimizers) of a full cut
+    list, by plain Python over r > 0."""
+    b = min(cuts[1:])
+    rs = [r for r in range(1, len(cuts)) if cuts[r] == b]
+    return b, len(rs), tuple(rs[: topology.MAX_LISTED_ARGMIN])
+
+
+def reduced(result):
+    return result.b, result.argmin_count, result.argmin_rs
 
 
 def verify_output(t, tmp_path):
@@ -214,43 +235,44 @@ class TestBisection:
             assert spec.alphas.max() == t.m
             assert (spec.alphas == t.m - 2 * spec.cuts).all()
             assert spec.b == spec.cuts[1:].min()
-            assert (spec.cuts[spec.argmin_rs] == spec.b).all()
+            assert reduced(reduce_cuts([spec.cuts])) == listed_bisection(spec.cuts.tolist())
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 11])
     def test_scan_equals_fwht(self, d):
         rng = random.Random(d)
         t = random_topology(rng, d, min(rng.randint(d, 2 * d), (1 << d) - 1))
-        a = bisection_scan(t)
-        b = bisection_fwht(t)
-        assert a.b == b.b
-        assert (a.cuts == b.cuts).all()
-        assert (a.alphas == b.alphas).all()
-        assert (a.argmin_rs == b.argmin_rs).all()
+        fwht = bisection_fwht(t)
+        cuts = engine_cuts(t)
+        assert (cuts == fwht.cuts).all()
+        assert (t.m - 2 * cuts == fwht.alphas).all()
+        assert reduced(bisection_scan(t)) == listed_bisection(fwht.cuts.tolist())
 
     @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
     @given(spanning_hopsets(max_d=9))
     def test_fwht_chunks_match_scan(self, table_bits, t):
-        # table_bits < d makes bisection_scan place several gf2.codeword_weights chunks
+        # table_bits < d makes cut_chunks yield several gf2.codeword_weights chunks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2, "_TABLE_BITS", table_bits)
-            scan = bisection_scan(t)
+            scan = engine_cuts(t)
+            reduced_scan = bisection_scan(t)
         fwht = bisection_fwht(t)
-        assert (fwht.cuts == scan.cuts).all()
-        assert (fwht.alphas == scan.alphas).all()
+        assert (fwht.cuts == scan).all()
+        assert (fwht.alphas == t.m - 2 * scan).all()
+        assert reduced(reduced_scan) == listed_bisection(fwht.cuts.tolist())
 
     @settings(max_examples=60)
     @given(wide_hopsets())
     def test_scan_matches_scalar_cuts(self, t):
-        spec = bisection_scan(t)
-        assert spec.cuts.dtype == np.int64
-        assert spec.cuts.tolist() == scalar_cuts(t)
-        assert (spec.alphas == t.m - 2 * spec.cuts).all()
+        cuts = engine_cuts(t)
+        assert cuts.dtype == np.int64
+        assert cuts.tolist() == scalar_cuts(t)
+        assert reduced(bisection_scan(t)) == listed_bisection(scalar_cuts(t))
 
     @pytest.mark.parametrize("m", [63, 64, 65, 128])
     def test_scan_lane_boundaries(self, m):
         # m = 64 fills one lane exactly; 65 spills one bit into a second lane
         t = random_topology(random.Random(m), 8, m)
-        assert bisection_scan(t).cuts.tolist() == scalar_cuts(t)
+        assert engine_cuts(t).tolist() == scalar_cuts(t)
 
     @pytest.mark.parametrize("table_bits", [0, 1, 3])
     @given(wide_hopsets(max_d=7, max_m=70))
@@ -258,8 +280,8 @@ class TestBisection:
         # a table narrower than d yields one XOR-and-popcount chunk per high part
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2, "_TABLE_BITS", table_bits)
-            spec = bisection_scan(t)
-        assert spec.cuts.tolist() == scalar_cuts(t)
+            cuts = engine_cuts(t)
+        assert cuts.tolist() == scalar_cuts(t)
 
     def test_cap_refused(self):
         t = hypercube(10)
@@ -270,22 +292,84 @@ class TestBisection:
         # one chunk per 2**2-entry table block: 64 chunks
         monkeypatch.setattr(gf2, "_TABLE_BITS", 2)
         t = random_topology(random.Random(1), 8, 12)
-        spec = bisection_scan(t)
-        assert spec.cuts.tolist() == scalar_cuts(t)
-        assert (spec.cuts == bisection_fwht(t).cuts).all()
+        cuts = engine_cuts(t)
+        assert cuts.tolist() == scalar_cuts(t)
+        assert (cuts == bisection_fwht(t).cuts).all()
+        assert reduced(bisection_scan(t)) == listed_bisection(scalar_cuts(t))
 
-    def test_scan_holds_one_spectrum_array(self):
-        # cuts (N int64) plus the engine's table, buffer and two live chunks of
-        # 2**_TABLE_BITS words, with one chunk to spare; no stored eigenvalues
+    def test_scan_holds_no_spectrum_array(self):
+        # the engine's table, buffer and two live chunks of 2**_TABLE_BITS
+        # words, with one chunk to spare; nothing of N = 2**18 entries
         t = random_topology(random.Random(18), 18, 64)
         tracemalloc.start()
         try:
-            spec = bisection_scan(t)
+            result = bisection_scan(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.b == int(spec.cuts[1:].min())
-        assert peak < t.N * 8 + 5 * (8 << gf2._TABLE_BITS)
+        assert result.b == int(engine_cuts(t)[1:].min())
+        assert peak < 5 * (8 << gf2._TABLE_BITS)
+
+
+class TestReduceCuts:
+    """The streamed reducer and the streamed Walsh oracle, against the full
+    single-transform spectrum (d <= 16) and scalar cut_walsh."""
+
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_reducer_matches_fwht(self, d):
+        rng = random.Random(100 + d)
+        t = random_topology(rng, d, min(rng.randint(d, d + 40), (1 << d) - 1))
+        full = bisection_fwht(t).cuts.tolist()
+        expected = listed_bisection(full)
+        assert reduced(bisection_scan(t)) == expected
+        assert reduced(reduce_cuts(walsh_chunks(t))) == expected
+
+    @pytest.mark.parametrize("table_bits", [0, 1, 3, 5])
+    @pytest.mark.parametrize("d", [2, 7, 10])
+    def test_reducer_over_many_chunks(self, monkeypatch, table_bits, d):
+        rng = random.Random(d * 10 + table_bits)
+        t = random_topology(rng, d, min(d + 6, (1 << d) - 1))
+        expected = listed_bisection(bisection_fwht(t).cuts.tolist())   # one transform
+        monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+        scan, walsh = list(cut_chunks(t)), list(walsh_chunks(t))
+        assert [c.size for c in scan] == [c.size for c in walsh]
+        assert len(scan) == 1 << (d - min(d, table_bits))
+        assert reduced(reduce_cuts(scan)) == expected
+        assert reduced(reduce_cuts(walsh)) == expected
+
+    def test_argmin_count_above_listed(self, monkeypatch):
+        # the [48,13,16] fixture: more minimizers than the reducer lists,
+        # spread over 2**13 / 2**4 chunks
+        t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
+        full = bisection_fwht(t).cuts.tolist()
+        expected = listed_bisection(full)
+        assert expected[0] == 16 and expected[1] > topology.MAX_LISTED_ARGMIN
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 4)
+        result = bisection_scan(t)
+        assert reduced(result) == expected
+        assert (result.N, result.links) == (t.N, 16 * t.N // 2)
+        assert reduced(reduce_cuts(walsh_chunks(t))) == expected
+
+    @pytest.mark.parametrize("table_bits", [0, 2, 3, 16])
+    def test_walsh_chunks_match_scalar_exhaustive(self, monkeypatch, table_bits):
+        monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+        rng = random.Random(7)
+        for d in range(2, 8):
+            for _ in range(3):
+                t = random_topology(rng, d, rng.randint(d, min(3 * d, (1 << d) - 1)))
+                chunks = list(walsh_chunks(t))
+                assert all(c.dtype == np.int64 for c in chunks)
+                assert np.concatenate(chunks).tolist() == scalar_cuts(t)
+
+    def test_walsh_chunks_negative_sign_sums(self, monkeypatch):
+        # four hops share their low 2 bits and have odd high parts, so for
+        # u = 1 every f_u entry they meet sums -1 terms: a sign vector kept in
+        # uint8 would wrap to 255 there
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 2)
+        t = build(5, [1, 2, 4, 8, 16, 0b00101, 0b01001, 0b10001, 0b11101])
+        chunks = list(walsh_chunks(t))
+        assert np.concatenate(chunks).tolist() == scalar_cuts(t)
+        assert reduced(reduce_cuts(chunks)) == listed_bisection(scalar_cuts(t))
 
 
 class TestVerifyCutCheck:
