@@ -228,7 +228,7 @@ def _cmd_routes(args) -> int:
 def _cmd_ftable(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
     table = routing.forwarding_table(t, args.diversity)
-    _write_output(table.to_csv(), args.output)
+    _write_output(table.csv_blocks(), args.output)
     return 0
 
 

@@ -9,10 +9,18 @@ backtracking (the same port twice in a row) is never generated.
 Edge-disjoint path sets are built greedily: all shortest paths in
 lexicographic port order first, then paths exactly one hop longer, and so
 on, until the requested diversity Q is reached.  An undirected edge is the
-integer id min(x, x ^ h_p) * m + p (port p from node x); `path_edges` is
-the one place that knows this encoding.  Path selectors apply at the
+integer id min(x, x ^ h_p) * m + p (port p from node x); `path_edges`
+turns a candidate path into its edge set.  Path selectors apply at the
 source; after the first hop a packet follows selector-1 (shortest)
 entries, which guarantees convergence of table-driven forwarding.
+
+One walk generator serves every search.  It steps only where the walk
+can still arrive: a hop moves the distance to node 0 by at most one, so
+the admissible ports at a node are all ports, those that go no farther,
+or those that go one level closer, by the hops left.  The last two lists
+are kept per node, filled on first use (`_StepLists`), so one query pays
+only for the nodes it visits.  The walk also skips every edge of a path
+already accepted, which those candidates could never join.
 """
 from __future__ import annotations
 
@@ -21,7 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import gf2
 from .topology import CayleyTopology, hop_distances
 
 __all__ = [
@@ -31,7 +38,6 @@ __all__ = [
     "disjoint_paths",
     "forwarding_table",
     "simulate_forwarding",
-    "path_nodes",
     "path_edges",
     "DEFAULT_EXTRA_LENGTH",
     "MAX_WALK_SEARCHES",
@@ -39,11 +45,13 @@ __all__ = [
 
 DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
 # forwarding_table refuses to run more (N - 1) * q walk searches than this.
-# One search takes 0.04-0.13 ms on a 2-vCPU VM (the [48,13,16] fixture
-# network: 1.2 s at q = 4, 17.6 s at q = 16), so the budget is at most
-# about 40 s; refusals estimate their time at _SEARCH_SECONDS per search.
+# One search takes 0.01-0.1 ms on a 2-vCPU VM (the [48,13,16] fixture
+# network: 0.4-0.9 s at q = 4, 2.2-4.1 s at q = 16; d = 16, m = 32, q = 4,
+# at the budget: 11-25 s), so the budget is at most about 30 s; refusals
+# estimate their time at _SEARCH_SECONDS per search.
 MAX_WALK_SEARCHES = 1 << 18
-_SEARCH_SECONDS = 1.5e-4
+_SEARCH_SECONDS = 1e-4
+_CSV_ROWS = 1 << 16   # forwarding-table CSV rows rendered per block
 
 
 class Unroutable(RuntimeError):
@@ -54,49 +62,98 @@ class Unroutable(RuntimeError):
         self.achievable = achievable
 
 
-def path_nodes(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> list[int]:
-    """Node sequence visited by walking `path` from `start`."""
-    nodes = [start]
-    x = start
-    for p in path:
-        if not 1 <= p <= t.m:
-            raise ValueError(f"port {p} out of range 1..{t.m}")
-        x ^= t.hops[p - 1]
-        nodes.append(x)
-    return nodes
-
-
 def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> frozenset[int]:
     """Undirected edges of the walk of `path` from `start`, as integer ids:
     port p from node x is the edge min(x, x ^ h_p) * m + p."""
-    nodes = path_nodes(t, path, start)
-    return frozenset(min(u, v) * t.m + p for u, v, p in zip(nodes, nodes[1:], path))
+    hops, m = t.hops, t.m
+    edges = []
+    x = start
+    for p in path:
+        if not 1 <= p <= m:
+            raise ValueError(f"port {p} out of range 1..{m}")
+        y = x ^ hops[p - 1]
+        edges.append((x if x < y else y) * m + p)
+        x = y
+    return frozenset(edges)
+
+
+class _StepLists(dict):
+    """Step lists of one topology, filled on first use: node z maps to
+    (closer, level), the ports whose hop takes z one BFS level closer to
+    node 0 and no farther from it, in port order (bytes; a tuple when
+    m > 255).  Only the nodes a search visits get a row.
+
+    `dist` is hop_distances(t) as bytes, `hop[p]` the hop of port p
+    (hop[0] is unused) and `every` all ports in order.
+    """
+
+    def __init__(self, t: CayleyTopology, dist: bytes):
+        super().__init__()
+        self.dist = dist
+        self.hop = (0, *t.hops)
+        self._pack = bytes if t.m < 256 else tuple
+        self.every = self._pack(range(1, t.m + 1))
+
+    def __missing__(self, z: int) -> tuple[bytes, bytes]:
+        dist, dz = self.dist, self.dist[z]
+        after = [dist[z ^ h] for h in self.hop]   # after[p]: distance past port p
+        row = self[z] = (
+            self._pack([p for p in self.every if after[p] < dz]),
+            self._pack([p for p in self.every if after[p] <= dz]),
+        )
+        return row
 
 
 def _walks_exact(
-    t: CayleyTopology, yrel: int, length: int, dist: bytes
+    t: CayleyTopology,
+    yrel: int,
+    length: int,
+    steps: _StepLists,
+    used: set[int] | frozenset[int] = frozenset(),
 ) -> Iterator[tuple[int, ...]]:
     """All non-backtracking port sequences of exactly `length` hops that XOR
-    to yrel, yielded in lexicographic order.
+    to yrel and take no edge in `used`, yielded in lexicographic order.
 
-    `dist` is hop_distances(t) as bytes, and dist[yrel] <= length.  A step
-    is taken only when the remaining hops can still reach yrel, so every
-    walk of full length ends there.
+    dist[yrel] <= length.  A hop changes the distance to node 0 by at most
+    one, so with `left` hops after this step and slack = left - dist[rest],
+    the steps that can still reach yrel are the closer ports (slack -1),
+    the level ports (slack 0) or every port (slack >= 1).  `used` is read
+    live: the caller may add edges between two yields, and no later walk
+    steps on them.  Prefixes taken before such an addition are not
+    re-checked, so callers still test each walk's edges.
     """
-    ports = tuple(enumerate(t.hops, 1))
+    dist, hop, every, m = steps.dist, steps.hop, steps.every, t.m
 
-    def rec(
-        prev_port: int, rest: int, seq: tuple[int, ...], left: int
-    ) ->Iterator[tuple[int, ...]]:
-        # `rest` is the XOR still to cover, `left` the hops after this step
-        for p, h in ports:
-            if p != prev_port and dist[rest ^ h] <= left:
-                if left:
-                    yield from rec(p, rest ^ h, seq + (p,), left - 1)
-                else:
-                    yield seq + (p,)
+    def admitted(x: int, left: int) -> Iterator[int]:
+        # ports that may follow node x with `left` hops after the step
+        rest = yrel ^ x                      # the XOR still to cover
+        slack = left - dist[rest]
+        return iter(every if slack > 0 else steps[rest][slack + 1])
 
-    yield from rec(0, yrel, (), length - 1)
+    # depth-first over an explicit stack: at depth k the walk stands on
+    # node[k] and todo[k] holds the ports still to try for hop seq[k]
+    last = length - 1
+    seq = [0] * length
+    node = [0] * length
+    todo = [admitted(0, last)] * length   # todo[k > 0] is set on the way down
+    k = 0
+    while k >= 0:
+        x = node[k]
+        prev = seq[k - 1] if k else 0
+        for p in todo[k]:
+            y = x ^ hop[p]
+            if p == prev or (x if x < y else y) * m + p in used:
+                continue
+            seq[k] = p
+            if k == last:
+                yield tuple(seq)
+            else:
+                k += 1
+                node[k] = y
+                todo[k] = admitted(y, last - k)
+                break
+        else:
+            k -= 1
 
 
 def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
@@ -108,8 +165,8 @@ def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
     """
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    dist = hop_distances(t).tobytes()
-    return list(_walks_exact(t, yrel, dist[yrel], dist))
+    steps = _StepLists(t, hop_distances(t).tobytes())
+    return list(_walks_exact(t, yrel, steps.dist[yrel], steps))
 
 
 def _check_diversity(t: CayleyTopology, q: int) -> None:
@@ -134,18 +191,23 @@ def disjoint_paths(
     _check_diversity(t, q)
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    return _disjoint_paths(t, yrel, q, extra_length, hop_distances(t).tobytes())
+    steps = _StepLists(t, hop_distances(t).tobytes())
+    return _disjoint_paths(t, yrel, q, extra_length, steps)
 
 
 def _disjoint_paths(
-    t: CayleyTopology, yrel: int, q: int, extra_length: int, dist: bytes
+    t: CayleyTopology, yrel: int, q: int, extra_length: int, steps: _StepLists
 ) -> list[tuple[int, ...]]:
-    """disjoint_paths for validated arguments, given hop_distances(t) as bytes."""
-    base = dist[yrel]
+    """disjoint_paths for validated arguments, given the topology's step lists.
+
+    A walk that steps on an edge of an accepted path could never be
+    accepted, so the search skips it; the greedy's choices do not change.
+    """
+    base = steps.dist[yrel]
     chosen: list[tuple[int, ...]] = []
     used: set[int] = set()
     for length in range(base, base + extra_length + 1):
-        for seq in _walks_exact(t, yrel, length, dist):
+        for seq in _walks_exact(t, yrel, length, steps, used):
             edges = path_edges(t, seq)
             if used.isdisjoint(edges):
                 chosen.append(seq)
@@ -177,14 +239,37 @@ class ForwardingTable:
             raise KeyError((selector, yrel))
         return int(self.ports[selector - 1, yrel])
 
+    def csv_blocks(self) -> Iterator[str]:
+        """Yield the CSV `selector,destination,egress_port`: the header, then
+        blocks of at most _CSV_ROWS rows, selector by selector.  A block is
+        a uint8 character table: the selector and a comma, the destination's
+        d bits (unpacked once for every selector), a comma, the port's
+        decimal digits right-aligned, a newline; unused leading digit cells
+        are dropped."""
+        yield "selector,destination,egress_port\n"
+        d, n = self.d, self.ports.shape[1]
+        places = 10 ** np.arange(len(str(int(self.ports.max()))) - 1, -1, -1, dtype=np.int64)
+        yrel = np.arange(1, n, dtype=">u4")   # bytes most significant first
+        bits = np.unpackbits(yrel.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
+        for s, row in enumerate(self.ports, 1):
+            lead = f"{s},".encode()
+            a = len(lead) + d   # the comma after the destination
+            for lo in range(1, n, _CSV_ROWS):
+                port = row[lo : lo + _CSV_ROWS, None].astype(np.int64)
+                table = np.empty((port.size, a + places.size + 2), dtype=np.uint8)
+                table[:, len(lead) : a] = bits[lo - 1 : lo - 1 + port.size]
+                table[:, a + 1 : -1] = port // places % 10
+                table += ord("0")
+                table[:, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+                table[:, a] = ord(",")
+                table[:, -1] = ord("\n")
+                keep = np.ones(table.shape, dtype=bool)
+                keep[:, a + 1 : -2] = port >= places[:-1]
+                yield table[keep].tobytes().decode("ascii")
+
     def to_csv(self) -> str:
-        lines = ["selector,destination,egress_port"]
-        for s, row in enumerate(self.ports.tolist(), 1):
-            lines += [
-                f"{s},{gf2.word_to_text(yrel, self.d)},{port}"
-                for yrel, port in enumerate(row[1:], 1)
-            ]
-        return "\n".join(lines) + "\n"
+        """The whole CSV, as one string."""
+        return "".join(self.csv_blocks())
 
 
 def forwarding_table(
@@ -194,7 +279,8 @@ def forwarding_table(
 
     With full diversity, the q entries of one destination use q distinct
     egress ports (the paths are edge-disjoint already at the source).
-    Vertex symmetry lets one distance vector serve every destination.
+    Vertex symmetry lets one distance vector and one set of step lists
+    serve every destination.
     Refuses, before any search, tables of more than MAX_WALK_SEARCHES
     (destination, selector) entries.
     """
@@ -205,10 +291,13 @@ def forwarding_table(
             f"a forwarding table at d={t.d}, q={q} needs {searches} walk searches,"
             f" about {searches * _SEARCH_SECONDS:.0f} s; the budget is {MAX_WALK_SEARCHES}"
         )
-    dist = hop_distances(t).tobytes()
+    steps = _StepLists(t, hop_distances(t).tobytes())
+    firsts = [
+        [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, steps)]
+        for yrel in range(1, t.N)
+    ]
     ports = np.zeros((q, t.N), dtype=np.min_scalar_type(t.m))
-    for yrel in range(1, t.N):
-        ports[:, yrel] = [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, dist)]
+    ports[:, 1:] = np.array(firsts, dtype=ports.dtype).T
     return ForwardingTable(d=t.d, q=q, ports=ports)
 
 

@@ -2,12 +2,14 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longhop import gf2, routing
+from longhop import codes, gf2, routing
+from longhop.construct import code_to_network
 from longhop.routing import (
     Unroutable,
     disjoint_paths,
@@ -16,9 +18,9 @@ from longhop.routing import (
     shortest_paths,
     simulate_forwarding,
 )
-from longhop.topology import build
+from longhop.topology import build, hop_distances
 
-from conftest import folded_cube, hypercube, random_topology
+from conftest import DATA, folded_cube, hypercube, random_topology
 
 
 def xor_of(t, path):
@@ -61,6 +63,29 @@ def oracle_disjoint_paths(t, walks, yrel, q, extra_length):
     return len(chosen)
 
 
+def step_edges(t, path):
+    """Edge id of each hop of `path` from node 0, in order."""
+    edges, x = [], 0
+    for p in path:
+        y = x ^ t.hops[p - 1]
+        edges.append(min(x, y) * t.m + p)
+        x = y
+    return edges
+
+
+def record_step_lists(monkeypatch):
+    """Patch routing._StepLists to keep every instance made; returns the list."""
+    made = []
+
+    class Recorded(routing._StepLists):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(routing, "_StepLists", Recorded)
+    return made
+
+
 @st.composite
 def routing_cases(draw):
     d = draw(st.integers(1, 4))
@@ -96,6 +121,76 @@ def test_disjoint_paths_and_table_match_oracle(case):
     csv = "".join(f"{s},{yrel:0{t.d}b},{port}\n" for s, yrel, port in sorted(rows))
     table = forwarding_table(t, q, extra_length=extra_length)
     assert table.to_csv() == "selector,destination,egress_port\n" + csv
+
+
+class TestStepLists:
+    def test_match_brute_filter_every_node(self):
+        rng = random.Random(12)
+        for d in range(1, 9):
+            for _ in range(3):
+                t = random_topology(rng, d, rng.randint(d, min(d + 6, (1 << d) - 1)))
+                dist = hop_distances(t).tobytes()
+                steps = routing._StepLists(t, dist)
+                for z in range(t.N):
+                    closer, level = steps[z]
+                    assert list(closer) == [
+                        p for p, h in enumerate(t.hops, 1) if dist[z ^ h] < dist[z]
+                    ]
+                    assert list(level) == [
+                        p for p, h in enumerate(t.hops, 1) if dist[z ^ h] <= dist[z]
+                    ]
+                assert len(steps) == t.N
+
+    def test_more_than_255_ports_pack_tuples(self):
+        t = random_topology(random.Random(9), 9, 300)
+        steps = routing._StepLists(t, hop_distances(t).tobytes())
+        assert steps.every == tuple(range(1, 301))
+        assert all(type(row) is tuple for row in steps[0b101])
+        table = forwarding_table(t, 1)
+        assert table.ports.dtype == np.uint16 and table.ports.max() > 255
+        expected = "".join(
+            f"1,{yrel:09b},{disjoint_paths(t, yrel, 1)[0][0]}\n" for yrel in range(1, t.N)
+        )
+        assert table.to_csv() == "selector,destination,egress_port\n" + expected
+
+    def test_single_query_fills_only_visited_rows(self, monkeypatch):
+        # d = 20: one query fills rows for the few hundred nodes its walks
+        # visit, and its peak is the distance vector, far below N * m
+        rng = random.Random(20)
+        d, m = 20, 24
+        hops = [1 << i for i in range(d)]
+        while len(hops) < m:
+            w = rng.getrandbits(d)
+            if w & (w - 1) and w not in hops:
+                hops.append(w)
+        t = build(d, hops)
+        made = record_step_lists(monkeypatch)
+        tracemalloc.start()
+        try:
+            paths = disjoint_paths(t, t.N - 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(p) for p in paths] == [8, 8, 8, 8]
+        assert len(made) == 1 and 0 < len(made[0]) < 1000
+        assert peak < 5 * t.N < t.N * t.m // 4
+
+    def test_full_table_cache_is_compact(self, monkeypatch):
+        # a whole g48 table fills a row for every node; each row is two short
+        # byte strings, so the cache stays under 2.5 MiB (about 0.23 KiB a row)
+        t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
+        made = record_step_lists(monkeypatch)
+        tracemalloc.start()
+        try:
+            forwarding_table(t, 1)
+            with_cache = tracemalloc.get_traced_memory()[0]
+            rows = len(made[0])
+            made.clear()
+            without_cache = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows == t.N - 1
+        assert with_cache - without_cache < 2.5 * 2**20
 
 
 class TestShortestPaths:
@@ -178,6 +273,46 @@ class TestDisjointPaths:
 
         monkeypatch.setattr(routing, "path_edges", record)
         assert disjoint_paths(cube3, 0b001, 3) == tried == [(1,), (2, 1, 2), (3, 1, 3)]
+
+    def test_used_edges_pruned_before_path_edges(self, monkeypatch):
+        # the steps a candidate took after the previous candidate of its
+        # length was judged avoid every edge accepted by then; only a prefix
+        # shared with that candidate may carry one to path_edges
+        tried = []
+
+        def record(t, path, start=0):
+            tried.append(path)
+            return path_edges(t, path, start)
+
+        monkeypatch.setattr(routing, "path_edges", record)
+        rng = random.Random(31)
+        rejected = 0
+        for _ in range(40):
+            d = rng.randint(3, 6)
+            t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
+            yrel, q = rng.randint(1, t.N - 1), rng.randint(1, t.m)
+            tried.clear()
+            try:
+                chosen = disjoint_paths(t, yrel, q)
+            except Unroutable:
+                continue
+            used, accepted, prev = set(), 0, ()
+            for seq in tried:
+                edges = step_edges(t, seq)
+                shared = 0
+                if len(prev) == len(seq):
+                    while seq[shared] == prev[shared]:
+                        shared += 1
+                assert used.isdisjoint(edges[shared:]), (t.hops, yrel, seq)
+                if accepted < len(chosen) and seq == chosen[accepted]:
+                    used |= set(edges)
+                    accepted += 1
+                else:
+                    assert not used.isdisjoint(edges)
+                    rejected += 1
+                prev = seq
+            assert accepted == q
+        assert rejected > 0   # the check above saw rejections
 
     def test_diversity_bounds(self, cube3):
         with pytest.raises(ValueError):
@@ -269,6 +404,23 @@ class TestForwardingTable:
                 forwarding_table(folded3, 2)
         monkeypatch.setattr(routing, "MAX_WALK_SEARCHES", 14)
         assert forwarding_table(folded3, 2).ports.shape == (2, 8)
+
+    def test_csv_blocks(self, monkeypatch):
+        # rows stream in blocks of at most _CSV_ROWS, selector by selector,
+        # and join to the plain rendering whatever the block size
+        t = random_topology(random.Random(8), 6, 12)
+        table = forwarding_table(t, 3)
+        expected = "selector,destination,egress_port\n" + "".join(
+            f"{s},{yrel:06b},{table.egress(s, yrel)}\n"
+            for s in (1, 2, 3) for yrel in range(1, t.N)
+        )
+        assert table.to_csv() == expected
+        for rows in (1, 5, 62, 63, 64):
+            monkeypatch.setattr(routing, "_CSV_ROWS", rows)
+            blocks = list(table.csv_blocks())
+            assert "".join(blocks) == expected
+            assert len(blocks) == 1 + 3 * -(-(t.N - 1) // rows)
+            assert all(0 < block.count("\n") <= rows for block in blocks[1:])
 
     def test_csv_format(self, cube3):
         table = forwarding_table(cube3, 1)
