@@ -3,11 +3,13 @@
 Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
 leads to x XOR hops[s-1].  Adjacency is never materialized; neighbors are
 computed by XOR on demand.  Breadth-first search works on bit-packed node
-sets, N/8 bytes each, and moves a whole set along one hop with word-level
-XOR arithmetic, so its memory is O(N/8) bytes independent of m.
-hop_distances fills an N-byte vector from it; distances only popcounts
-each level: at N = 2**24, m = 64 it takes about 2.3 s and 47 MiB peak RSS
-on a 2-vCPU VM.
+sets, N/8 bytes each.  It grows a sparse level from its listed nodes and a
+dense one by moving the whole set along each hop with word-level XOR
+arithmetic, into only the words that still hold unvisited nodes once those
+are few, so its memory is O(N/8) bytes independent of m.  hop_distances
+fills an N-byte vector from it; distances only popcounts each level: at
+N = 2**24, m = 64 it takes about 1.1-1.9 s and 48 MiB peak RSS on a 2-vCPU
+VM.
 
 The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
@@ -312,27 +314,38 @@ _SWAPS = tuple(
     ))
 )
 _BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
+_LIST_SHARE = 0.5        # node-list BFS step up to this many frontier nodes per word
+_OPEN_SHARE = 0.5        # open-word BFS step below this share of words with unvisited nodes
 
 
-def _hop_blocks(t: CayleyTopology) -> tuple[list, np.ndarray]:
-    """The hops grouped for _moves, and the word indices of a node bitmap:
-    max(N/64, 1) uint64 words, node x being bit x & 63 of word x >> 6.  Per
-    block: the word-index offsets (h >> 6) and, for each swap j, the rows
-    whose hop has bit j of h & 63 set."""
-    word_idx = np.arange(max(t.N >> 6, 1), dtype=np.int64)
-    hops_arr = np.array(t.hops, dtype=np.int64)
-    size = max(_BLOCK_WORDS // word_idx.size, 1)
+def _word_idx(t: CayleyTopology) -> np.ndarray:
+    """Indices of the max(N/64, 1) uint64 words of a node bitmap: node x is
+    bit x & 63 of word x >> 6."""
+    return np.arange(max(t.N >> 6, 1), dtype=np.int64)
+
+
+def _hop_blocks(t: CayleyTopology, words: int) -> list:
+    """The hops grouped for _moves over `words` target words, so that a
+    block moves about _BLOCK_WORDS words.  Per block: the word-index offsets
+    (h >> 6) and, for each swap j, the rows whose hop has bit j of h & 63
+    set."""
+    high = np.array(t.hops, dtype=np.int64) >> 6
+    size = max(_BLOCK_WORDS // words, 1)
     blocks = []
-    for lo in range(0, hops_arr.size, size):
-        block = hops_arr[lo : lo + size]
-        rows = [np.flatnonzero((block >> j) & 1) for j in range(6)]
-        blocks.append((block >> 6, rows))
-    return blocks, word_idx
+    for lo in range(0, t.m, size):
+        block = t.hops[lo : lo + size]
+        rows = [
+            np.array([i for i, h in enumerate(block) if h >> j & 1], dtype=np.intp)
+            for j in range(6)
+        ]
+        blocks.append((high[lo : lo + size], rows))
+    return blocks
 
 
 def _moves(bitmap: np.ndarray, blocks, word_idx: np.ndarray) -> Iterator[np.ndarray]:
-    """Per block of _hop_blocks, the rows of `bitmap` moved along each hop
-    of the block: bit x of the row for hop h is bit x ^ h of `bitmap`."""
+    """Per block of _hop_blocks, the words `word_idx` of `bitmap` moved along
+    each hop of the block: bit x of the word for hop h is bit x ^ h of
+    `bitmap`."""
     for high, rows in blocks:
         moved = bitmap[word_idx ^ high[:, None]]   # word x >> 6 -> (x ^ h) >> 6
         for (shift, mask), sel in zip(_SWAPS, rows):
@@ -342,20 +355,78 @@ def _moves(bitmap: np.ndarray, blocks, word_idx: np.ndarray) -> Iterator[np.ndar
         yield moved
 
 
+def _bitmap_nodes(bitmap: np.ndarray) -> np.ndarray:
+    """The nodes set in a node bitmap, ascending, as int64; temporaries hold
+    about 24 bytes per node, whatever N is."""
+    octets = bitmap.astype("<u8", copy=False).view(np.uint8)   # octet b: nodes 8b .. 8b + 7
+    full = np.flatnonzero(octets)
+    pos = np.flatnonzero(np.unpackbits(octets[full], bitorder="little"))
+    return (full[pos >> 3] << 3) | (pos & 7)
+
+
+def _grow_listed(frontier: np.ndarray, hops: np.ndarray, per: int) -> np.ndarray:
+    """Node-list step: the bitmap of every node one hop from the frontier,
+    from its nodes XORed with every hop, `per` nodes at a time."""
+    reach = np.zeros_like(frontier)
+    nodes = _bitmap_nodes(frontier)
+    for lo in range(0, nodes.size, per):
+        cand = (nodes[lo : lo + per, None] ^ hops).ravel()
+        bits = np.left_shift(1, cand & 63)
+        cand >>= 6
+        np.bitwise_or.at(reach, cand, bits.view(np.uint64))
+    return reach
+
+
+def _grow_moved(frontier: np.ndarray, blocks, target: np.ndarray) -> np.ndarray:
+    """Open-word and full steps: the words `target` of the bitmap of every
+    node one hop from the frontier, from the frontier moved along every hop."""
+    reach = np.zeros(target.size, dtype=np.uint64)
+    for moved in _moves(frontier, blocks, target):
+        reach |= np.bitwise_or.reduce(moved, axis=0)
+    return reach
+
+
 def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
     """Bitmaps of the nodes BFS first reaches at levels 0, 1, 2, ... from
-    node 0; the visited set is a bitmap too."""
-    blocks, word_idx = _hop_blocks(t)
+    node 0; the visited set is a bitmap too.
+
+    As in direction-optimizing BFS (Beamer, Asanovic and Patterson, SC'12),
+    a level costs what its frontier or its unvisited words cost, not what
+    the graph costs.  Each next level comes from the cheapest of three steps:
+    - node-list, while the frontier holds at most _LIST_SHARE * N/64 nodes:
+      they are listed from its bitmap and XORed with every hop, and
+      np.bitwise_or.at sets the candidates' bits, at most max(N/64, m) at
+      a time (a candidate costs about twice a moved word, and both steps
+      scale with m);
+    - open-word, while fewer than _OPEN_SHARE of the N/64 words hold an
+      unvisited node: the frontier is moved along every hop into those
+      words only;
+    - full: the frontier is moved along every hop into every word.
+    The search stops once all N nodes are visited, with no empty pass.
+    """
+    word_idx = _word_idx(t)
+    full_blocks = _hop_blocks(t, word_idx.size)
+    hops = np.array(t.hops, dtype=np.int64)
+    per = max(word_idx.size // t.m, 1)   # frontier nodes per node-list chunk
     frontier = np.zeros(word_idx.size, dtype=np.uint64)
     frontier[0] = 1
     visited = frontier.copy()
-    while frontier.any():
-        yield frontier
-        reach = np.zeros_like(frontier)   # every node one hop from the frontier
-        for moved in _moves(frontier, blocks, word_idx):
-            reach |= np.bitwise_or.reduce(moved, axis=0)
-        frontier = reach & ~visited
+    count = seen = 1
+    yield frontier
+    while count and seen < t.N:   # a spanning hop set never empties the frontier early
+        if count <= _LIST_SHARE * word_idx.size:
+            frontier = _grow_listed(frontier, hops, per) & ~visited
+        elif np.count_nonzero(~visited) < _OPEN_SHARE * word_idx.size:
+            target = np.flatnonzero(~visited)
+            new = np.zeros_like(frontier)
+            new[target] = _grow_moved(frontier, _hop_blocks(t, target.size), target)
+            frontier = new & ~visited
+        else:
+            frontier = _grow_moved(frontier, full_blocks, word_idx) & ~visited
         visited |= frontier
+        count = int(np.bitwise_count(frontier).sum())
+        seen += count
+        yield frontier
 
 
 def hop_distances(t: CayleyTopology) -> np.ndarray:
@@ -402,7 +473,8 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
     Each colouring is a node bitmap moved along every hop; a crossing link
     differs from its moved colour at both ends, so it is popcounted twice.
     """
-    blocks, word_idx = _hop_blocks(t)
+    word_idx = _word_idx(t)
+    blocks = _hop_blocks(t, word_idx.size)
     for r in rs:
         # colours of x < 64 (zero above N - 1), flipped in word w by parity((r >> 6) & w)
         low = np.uint64(sum(((r & x).bit_count() & 1) << x for x in range(min(t.N, 64))))

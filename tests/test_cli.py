@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
+import longhop
 from longhop import cli, gf2, routing, topology
 from longhop.cli import main
 
@@ -472,3 +476,50 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1
+
+
+class TestFreshProcess:
+    # Run in a fresh interpreter: prints, per command, its exit status and
+    # whether numpy.ma has been imported by then.
+    SCRIPT = """
+import json, sys
+from longhop import cli
+for argv in json.loads(sys.argv[1]):
+    status = cli.main(argv)
+    print(json.dumps([argv, status, "numpy.ma" in sys.modules]), file=sys.stderr)
+"""
+
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # np.unique, among others, imports numpy.ma: 14-20 ms of a fresh
+        # process, more than some commands' own work
+        hops, code, g48 = (str(DATA / name) for name in ("folded3.hops", "hamming_7_4.txt",
+                                                         "g48_13_16.txt"))
+        edges = tmp_path / "square.txt"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        commands = [
+            ["mindist", code],
+            ["convert", "--to-hops", code, "-o", out],
+            ["convert", "--to-code", hops],
+            ["bisect", hops],
+            ["bisect", "--method", "fwht", "--spectrum", "--format", "json", hops],
+            ["optimize", "-d", "3", "-m", "4"],
+            ["optimize", "-d", "3", "-m", "4", "--method", "greedy", "--start", hops],
+            ["routes", hops, "--dest", "110"],
+            ["routes", hops, "--dest", "110", "--diversity", "2"],
+            ["ftable", hops, "--diversity", "2"],
+            ["cluster", hops, "--levels", "2", "-o", out],
+            *(["compare", "--ports", "131072", "--radix", "64", "--lh-code", g48, "--format", f]
+              for f in ("text", "csv", "json")),
+            ["verify", hops],
+            ["verify", "--edge-list", str(edges)],
+        ]
+        package_root = os.path.dirname(os.path.dirname(longhop.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, check=True)
+        report = [json.loads(line) for line in proc.stderr.splitlines() if line.startswith("[")]
+        assert [argv for argv, _, _ in report] == commands
+        assert all(status == 0 for _, status, _ in report), report
+        assert not any(imported for _, _, imported in report), report

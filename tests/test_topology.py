@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -48,6 +49,31 @@ def oracle_hop_distances(t):
         dist[new] = level
         frontier = new
     return dist
+
+
+@contextlib.contextmanager
+def forced_bfs_step(step):
+    """Send every level of topology._levels through one of its steps:
+    "list" (node-list), "open" (open-word) or "full".  Yields the list of
+    steps the levels took, "list" or "moved" (open-word and full)."""
+    list_share, open_share = {"list": (math.inf, 0), "open": (0, math.inf), "full": (0, 0)}[step]
+    taken = []
+    grow_listed, grow_moved = topology._grow_listed, topology._grow_moved
+
+    def listed(*args):
+        taken.append("list")
+        return grow_listed(*args)
+
+    def moved(*args):
+        taken.append("moved")
+        return grow_moved(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_LIST_SHARE", list_share)
+        mp.setattr(topology, "_OPEN_SHARE", open_share)
+        mp.setattr(topology, "_grow_listed", listed)
+        mp.setattr(topology, "_grow_moved", moved)
+        yield taken
 
 
 def oracle_cluster(t, levels):
@@ -481,6 +507,40 @@ class TestDistances:
         dist = topology.hop_distances(t)
         assert dist.dtype == np.uint8
         assert dist.tolist() == oracle_hop_distances(t).tolist()
+
+    @pytest.mark.parametrize("step", ["list", "open", "full"])
+    @given(t=spanning_hopsets())
+    def test_every_step_matches_oracle(self, step, t):
+        with forced_bfs_step(step) as taken:
+            dist = topology.hop_distances(t)
+            summary = distances(t)
+        assert dist.tolist() == oracle_hop_distances(t).tolist()
+        assert summary.histogram == tuple(np.bincount(dist).tolist())
+        assert set(taken) <= {"list" if step == "list" else "moved"}
+        assert len(taken) == 2 * int(dist.max())   # no pass after the last level
+
+    @pytest.mark.parametrize("step", ["list", "open", "full"])
+    @pytest.mark.parametrize(
+        "t",
+        [hypercube(d) for d in range(1, 6)]
+        + [folded_cube(d) for d in range(2, 6)]
+        + [build(2, [1, 2, 3]), build(5, [1, 2, 4, 8, 16, 3, 12, 31])],
+        ids=lambda t: f"d{t.d}m{t.m}",
+    )
+    def test_every_step_in_one_partial_word(self, step, t):
+        with forced_bfs_step(step):
+            dist = topology.hop_distances(t)
+        assert dist.tolist() == oracle_hop_distances(t).tolist()
+
+    @pytest.mark.parametrize("step", ["list", "open", "full"])
+    def test_every_step_d16(self, step):
+        t = random_topology(random.Random(16), 16, 40)
+        with forced_bfs_step(step):
+            summary = distances(t)
+            dist = topology.hop_distances(t)
+        oracle = oracle_hop_distances(t)
+        assert dist.tolist() == oracle.tolist()
+        assert summary.histogram == tuple(np.bincount(oracle).tolist())
 
     def test_d20_smoke(self):
         d = 20
