@@ -23,6 +23,7 @@ from .routing import (
 from .topology import (
     Bisection,
     CayleyTopology,
+    Clustering,
     SpectrumResult,
     bisection_bruteforce,
     bisection_fwht,

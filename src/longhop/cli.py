@@ -19,7 +19,8 @@ import numpy as np
 
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
-_RENDER_ROWS = 1 << 16   # spectrum and cluster rows rendered per block
+_RENDER_ROWS = 1 << 16   # spectrum rows rendered per block
+_CLUSTER_ROWS = 1 << 13  # cluster rows per block: a power of two, the table stays small
 # a source of the Walsh cuts in ascending chunks: topology.cut_chunks or walsh_chunks
 _Chunks = Callable[[topology.CayleyTopology], Iterable[np.ndarray]]
 
@@ -45,8 +46,11 @@ def _write_output(text: str | Iterable[str], out: str | None) -> None:
     """Write a string, or an iterable of strings in order, to `out` or stdout."""
     parts = (text,) if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.writelines(parts)
+        try:
+            with open(out, "w", encoding="utf-8") as f:
+                f.writelines(parts)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(parts)
 
@@ -194,7 +198,7 @@ def _cmd_optimize(args) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.output:
-        Path(args.output).write_text(topology.emit_hopset(report.best), encoding="utf-8")
+        _write_output(topology.emit_hopset(report.best), args.output)
     return 0
 
 
@@ -234,31 +238,47 @@ def _cmd_ftable(args) -> int:
 
 def _cmd_cluster(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
-    labels = topology.cluster(t, args.levels, max_d=max_d)
-    _write_output(_render_labels(labels, t.d), args.output)
+    clustering = topology.cluster(t, args.levels, max_d=max_d)
+    _write_output(_render_labels(clustering), args.output)
     return 0
 
 
-def _render_labels(labels: np.ndarray, d: int) -> Iterator[str]:
+def _render_labels(clustering: topology.Clustering) -> Iterator[str]:
     """Yield the `node,label` CSV: the header, then blocks of rows, each
-    rendered as a uint8 character table: d bit columns, a comma, the
-    label's decimal digits right-aligned, a newline; the unused leading
-    digit cells are dropped."""
-    places = 10 ** np.arange(len(str(int(labels.max()))) - 1, -1, -1, dtype=np.int64)
-    width = d + places.size + 2
+    rendered in one reused uint8 character table: d bit columns, a comma,
+    the label's decimal digits right-aligned, a newline; the unused leading
+    digit cells are dropped.  The low bit columns vary the same way in
+    every block and are written once; a block rewrites its high bit
+    columns, which are constant within it, and its label cells."""
+    d = clustering.d
+    digits = len(str((1 << clustering.levels) - 1))
+    width = d + digits + 2
+    rows = min(_CLUSTER_ROWS, 1 << d)
+    low = rows.bit_length() - 1   # node bits that vary within a block
+    table = np.empty((rows, width), dtype=np.uint8)
+    for j in range(low):   # the column of bit j: runs of 2**j '0' then 2**j '1'
+        column = table.reshape(-1, 2, 1 << j, width)[..., d - 1 - j]
+        column[:, 0] = ord("0")
+        column[:, 1] = ord("1")
+    table[:, d] = ord(",")
+    table[:, -1] = ord("\n")
+    places = 10 ** np.arange(digits - 1, 0, -1)   # place values of the cells that may be unused
+    keep = np.ones(table.shape, dtype=bool) if digits > 1 else None
+    first = clustering.labels(0, rows)
     yield "node,label\n"
-    for lo in range(0, labels.size, _RENDER_ROWS):
-        label = labels[lo : lo + _RENDER_ROWS, None]
-        x = np.arange(lo, lo + label.size, dtype=">u4")   # node ids, bytes MSB first
-        table = np.empty((label.size, width), dtype=np.uint8)
-        table[:, :d] = np.unpackbits(x.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
-        table[:, d + 1 : -1] = label // places % 10
-        table += ord("0")
-        table[:, d] = ord(",")
-        table[:, -1] = ord("\n")
-        keep = np.ones(table.shape, dtype=bool)
-        keep[:, d + 1 : -2] = label >= places[:-1]
-        yield table[keep].tobytes().decode("ascii")
+    for lo in range(0, 1 << d, rows):
+        table[:, : d - low] = np.frombuffer(f"{lo:0{d}b}"[: d - low].encode("ascii"), np.uint8)
+        label = first ^ clustering.label(lo)
+        rest = label
+        for k in range(d + digits, d + 1, -1):   # digit cells right to left, then the leading one
+            rest, digit = np.divmod(rest, 10)
+            table[:, k] = digit + ord("0")
+        table[:, d + 1] = rest + ord("0")
+        if keep is None:
+            yield table.tobytes().decode("ascii")
+        else:
+            keep[:, d + 1 : -2] = label[:, None] >= places
+            yield table[keep].tobytes().decode("ascii")
 
 
 def _parse_lh_triple(text: str) -> tuple[int, int, int]:

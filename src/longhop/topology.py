@@ -20,9 +20,10 @@ gf2.codeword_weights in chunks of 2**min(d, 16) entries; reduce_cuts
 folds any such stream into b, the number of minimizers and the first
 MAX_LISTED_ARGMIN of them, so bisection_scan holds no N-entry array
 (the whole `bisect` command peaks at 32 MiB RSS at any d); cluster
-reduces the chunks too.  walsh_chunks yields the same chunks off
-Walsh-Hadamard transforms, the independent oracle; bisection_fwht places
-them in one N-entry array for the greedy search.
+reduces the chunks too and returns only its splits, a Clustering whose
+labels are read out block by block.  walsh_chunks yields the same
+chunks off Walsh-Hadamard transforms, the independent oracle;
+bisection_fwht places them in one N-entry array for the greedy search.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
     "Bisection",
     "SpectrumResult",
     "DistanceSummary",
+    "Clustering",
     "build",
     "cut_walsh",
     "cut_chunks",
@@ -486,7 +488,39 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
         ) // 2
 
 
-def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np.ndarray:
+@dataclass(frozen=True)
+class Clustering:
+    """A recursive clustering of the 2**d nodes: label bit levels - 1 - i of
+    node x is parity(splits[i] & x), so the first split is the label's most
+    significant bit and labels are linear in x."""
+    d: int
+    splits: tuple[int, ...]
+
+    @property
+    def levels(self) -> int:
+        return len(self.splits)
+
+    def label(self, x: int) -> int:
+        """The label of node x."""
+        return sum(((r & x).bit_count() & 1) << (self.levels - 1 - i)
+                   for i, r in enumerate(self.splits))
+
+    def labels(self, lo: int = 0, n: int | None = None) -> np.ndarray:
+        """The int64 labels of nodes lo..lo+n-1 (default: all 2**d), for n a
+        power of two and lo a multiple of n.  Nodes lo + y, y < n, share
+        the bits of lo, so their labels are label(lo) XOR those of the
+        first block, filled by doubling."""
+        n = 1 << self.d if n is None else n
+        if n < 1 or n & (n - 1) or lo % n or not 0 <= lo <= (1 << self.d) - n:
+            raise ValueError(f"({lo}, {n}) is not an aligned power-of-two block of 2**{self.d}")
+        labels = np.empty(n, dtype=np.int64)
+        labels[0] = self.label(lo)
+        for j in range(n.bit_length() - 1):   # label(y ^ 2**j) = label(y) ^ label(2**j)
+            np.bitwise_xor(labels[: 1 << j], self.label(1 << j), out=labels[1 << j : 2 << j])
+        return labels
+
+
+def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> Clustering:
     """Recursive equal-halves clustering along minimum Walsh cuts.
 
     Each level splits every current cell in half along a Walsh partition:
@@ -497,15 +531,13 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
     inside cells: the weight of the codeword r.G of their hop matrix G,
     which each level reduces from gf2.codeword_weights chunk by chunk.
 
-    Returns an array of 2**levels equally populated labels; the level-1
-    split is the label's most significant bit.
+    Returns the chosen indices as a Clustering, whose 2**levels labels
+    are equally populated; no N-entry array is built.  The cap stays
+    because the labels are read out for all 2**d nodes.
     """
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
     check_cap(t.d, max_d)
-    labels = np.zeros(t.N, dtype=np.int64)
-    if levels == 0:
-        return labels
     used: list[int] = []
     span = np.zeros(1, dtype=np.int64)
     sentinel = t.m + 1   # above every cut
@@ -524,10 +556,7 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> np
             lo = hi
         used.append(r_star)
         span = np.sort(np.concatenate([span, span ^ r_star]))   # sorted for searchsorted
-    for j in range(t.d):   # labels are linear in x: label(x ^ 2**j) = label(x) ^ label(2**j)
-        unit = sum((r >> j & 1) << (levels - 1 - i) for i, r in enumerate(used))
-        np.bitwise_xor(labels[: 1 << j], unit, out=labels[1 << j : 2 << j])
-    return labels
+    return Clustering(t.d, tuple(used))
 
 
 def parse_hopset(text: str) -> CayleyTopology:

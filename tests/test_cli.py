@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import operator
 import os
+import random
 import subprocess
 import sys
 import time
@@ -263,21 +265,45 @@ class TestFtableClusterVerify:
         rows = [f"{gf2.word_to_text(r, 4)} {int(s.cuts[r])} {int(s.alphas[r])}" for r in range(16)]
         assert out.splitlines()[-17:] == ["r cut alpha", *rows]
         _, out, _ = run(capsys, ["cluster", str(path), "--levels", "2"])
-        labels = topology.cluster(t, 2)
+        labels = topology.cluster(t, 2).labels()
         rows = [f"{gf2.word_to_text(x, 4)},{int(labels[x])}" for x in range(16)]
         assert out.splitlines() == ["node,label", *rows]
 
     @pytest.mark.parametrize("levels", [0, 3, 4, 6])
     def test_cluster_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch, levels):
-        # labels of one and two digits, rows split over blocks of 5
-        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
+        # labels of one and two digits, rows split over blocks of 4
+        monkeypatch.setattr(cli, "_CLUSTER_ROWS", 4)
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
         code, out, _ = run(capsys, ["cluster", str(path), "--levels", str(levels)])
-        labels = topology.cluster(t, levels).tolist()
+        labels = topology.cluster(t, levels).labels().tolist()
         assert code == 0
         assert out == "node,label\n" + "".join(f"{x:06b},{labels[x]}\n" for x in range(64))
+
+    def test_cluster_rows_match_labels(self, capsys, tmp_path, monkeypatch):
+        # every d = 1..18 and every level 0..d, so labels of one to six digits
+        # occur, on stdout and in a file; blocks of 4 rows up to d = 8, then
+        # 64 blocks, so that rows always cross blocks
+        rng = random.Random(14)
+        path, out_file = tmp_path / "h.hops", tmp_path / "clusters.csv"
+        for d in range(1, 19):
+            monkeypatch.setattr(cli, "_CLUSTER_ROWS", 1 << max(2, d - 6))
+            hops = [1 << i for i in range(d)]
+            hops += rng.sample(sorted(set(range(1, 1 << d)) - set(hops)), min(d, (1 << d) - 1 - d))
+            t = topology.build(d, hops)
+            path.write_text(topology.emit_hopset(t), encoding="utf-8")
+            nodes = [f"{x:0{d}b}" for x in range(t.N)]
+            for levels in range(d + 1):
+                labels = topology.cluster(t, levels).labels().tolist()
+                tails = [f",{label}\n" for label in range(1 << levels)]   # f"{x:0{d}b},{label}\n"
+                expected = "node,label\n" + "".join(
+                    map(operator.add, nodes, map(tails.__getitem__, labels)))
+                assert run(capsys, ["cluster", str(path), "--levels", str(levels)]) == (
+                    0, expected, ""), (d, levels)
+                argv = ["cluster", str(path), "--levels", str(levels), "-o", str(out_file)]
+                assert run(capsys, argv) == (0, "", ""), (d, levels)
+                assert out_file.read_text(encoding="ascii") == expected, (d, levels)
 
     def test_spectrum_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
@@ -345,7 +371,8 @@ class TestFtableClusterVerify:
         assert peak < 5 * (8 << gf2._TABLE_BITS) + 80 * cli._RENDER_ROWS
 
     def test_cluster_file_streams_render_blocks(self, tmp_path):
-        # labels (N int64) plus a few blocks of rows; never the whole CSV at once
+        # the engine's chunks and a few blocks of rows; never the whole CSV
+        # or an N-entry array at once
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "clusters.csv"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -358,7 +385,7 @@ class TestFtableClusterVerify:
         assert code == 0
         row = t.d + len(",7\n")
         assert out.stat().st_size == len("node,label\n") + t.N * row
-        assert peak < t.N * 8 + 6 * cli._RENDER_ROWS * row
+        assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * cli._CLUSTER_ROWS * row
 
     @pytest.mark.parametrize("argv,chunks", [
         (["bisect"], 5), (["bisect", "--format", "json"], 5),
@@ -469,6 +496,23 @@ class TestCompareCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "{hops}", "--levels", "1"],
+        ["ftable", "{hops}", "--diversity", "2"],
+        ["optimize", "-d", "3", "-m", "4"],
+    ], ids=["cluster", "ftable", "optimize"])
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/out.csv", "No such file or directory"), (".", "Is a directory"),
+    ], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_input_error(self, capsys, folded3_file, tmp_path,
+                                              argv, target, reason):
+        path = tmp_path / target
+        argv = [arg.format(hops=folded3_file) for arg in argv] + ["-o", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert out.startswith("method: brute\n") if argv[0] == "optimize" else out == ""
+
     def test_unknown_flag(self, capsys, folded3_file):
         code, _, err = run(capsys, ["bisect", folded3_file, "--bogus"])
         assert code == 1

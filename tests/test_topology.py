@@ -563,10 +563,10 @@ class TestDistances:
 
 class TestCluster:
     def test_zero_levels(self, folded3):
-        assert cluster(folded3, 0).tolist() == [0] * 8
+        assert cluster(folded3, 0).labels().tolist() == [0] * 8
 
     def test_one_level_cut_size(self, folded3):
-        labels = cluster(folded3, 1)
+        labels = cluster(folded3, 1).labels()
         assert sorted(np.bincount(labels).tolist()) == [4, 4]
         crossing = sum(
             1 for u, v in folded3.edges() if labels[u] != labels[v]
@@ -574,21 +574,21 @@ class TestCluster:
         assert crossing == bisection_scan(folded3).links
 
     def test_full_refinement(self, folded3):
-        labels = cluster(folded3, 3)
+        labels = cluster(folded3, 3).labels()
         assert sorted(labels.tolist()) == list(range(8))
 
     def test_equal_populations(self):
         rng = random.Random(2)
         t = random_topology(rng, 6, 9)
         for levels in (1, 2, 3):
-            counts = np.bincount(cluster(t, levels), minlength=1 << levels)
+            counts = np.bincount(cluster(t, levels).labels(), minlength=1 << levels)
             assert set(counts.tolist()) == {t.N >> levels}
 
     @given(st.data())
     def test_matches_oracle(self, data):
         t = data.draw(spanning_hopsets(max_d=10))
         levels = data.draw(st.integers(0, t.d))
-        assert cluster(t, levels).tolist() == oracle_cluster(t, levels).tolist()
+        assert cluster(t, levels).labels().tolist() == oracle_cluster(t, levels).tolist()
 
     @pytest.mark.parametrize("table_bits", [0, 3])
     @settings(max_examples=40)
@@ -599,8 +599,23 @@ class TestCluster:
         levels = data.draw(st.integers(0, t.d))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2, "_TABLE_BITS", table_bits)
-            labels = cluster(t, levels)
+            labels = cluster(t, levels).labels()
         assert labels.tolist() == oracle_cluster(t, levels).tolist()
+
+    @given(st.data())
+    def test_blocks_are_slices_of_all_labels(self, data):
+        t = data.draw(spanning_hopsets(max_d=10))
+        clustering = cluster(t, data.draw(st.integers(0, t.d)))
+        labels = clustering.labels()
+        n = 1 << data.draw(st.integers(0, t.d))
+        lo = n * data.draw(st.integers(0, t.N // n - 1))
+        assert clustering.labels(lo, n).tolist() == labels[lo : lo + n].tolist()
+        assert clustering.label(lo) == labels[lo]
+
+    @pytest.mark.parametrize("lo,n", [(0, 3), (0, 0), (2, 4), (-4, 4), (8, 4), (0, 16)])
+    def test_unaligned_block_refused(self, folded3, lo, n):
+        with pytest.raises(ValueError, match="aligned power-of-two block"):
+            cluster(folded3, 2).labels(lo, n)
 
     def test_levels_out_of_range(self, folded3):
         with pytest.raises(ValueError):
