@@ -9,8 +9,8 @@ models at equal ports and radix.
 """
 from .codes import GeneratorMatrix, encode, min_distance, parse_generator, emit_generator
 from .compare import ComparisonRow, model_fc, model_ft, model_hc, model_lh
-from .construct import code_to_network, network_to_code, normalize_basis
-from .gf2 import fwht, parity, walsh, weight
+from .construct import code_to_network, network_to_code
+from .gf2 import fwht
 from .optimize import SearchReport, brute_force_search, greedy_improve
 from .routing import (
     ForwardingTable,

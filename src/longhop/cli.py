@@ -3,7 +3,9 @@
 Subcommands: bisect, mindist, convert, optimize, routes, ftable, cluster,
 compare, verify.  Exit codes: 0 success, 1 input error, 2 infeasibility.
 Data output is deterministic: identical inputs produce byte-identical
-output, integers print exactly, reals with 6 decimals.
+output, integers print exactly, reals with 6 decimals.  The tables with
+one row per d-bit word (bisect --spectrum, cluster, ftable) are rendered
+by gf2.text_rows and written as they are made, never held whole.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ import numpy as np
 
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
 
-_RENDER_ROWS = 1 << 16   # spectrum rows rendered per block
-_CLUSTER_ROWS = 1 << 13  # cluster rows per block: a power of two, the table stays small
 # a source of the Walsh cuts in ascending chunks: topology.cut_chunks or walsh_chunks
 _Chunks = Callable[[topology.CayleyTopology], Iterable[np.ndarray]]
 
@@ -94,37 +94,23 @@ def _cmd_bisect(args) -> int:
         f"B_links: {result.links}",
         "argmin_r: " + ",".join(shown) + (f" (+{extra} more)" if extra > 0 else ""),
     ]
-    rows = _render_spectrum(chunks, t) if args.spectrum else ()
+    if args.spectrum:   # the `r cut alpha` table, from one pass over chunks(t)
+        lines.append("r cut alpha")
+        rows = gf2.text_rows(
+            t.d, ((cut, t.m - 2 * cut) for cut in chunks(t)), [(0, t.m), (-t.m, t.m)], sep=" ")
+    else:
+        rows = ()
     _write_output(itertools.chain(["\n".join(lines) + "\n"], rows), args.output)
     return 0
 
 
-def _blocks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The cut chunks cut into blocks of at most _RENDER_ROWS entries."""
-    for chunk in chunks:
-        for lo in range(0, chunk.size, _RENDER_ROWS):
-            yield chunk[lo : lo + _RENDER_ROWS]
-
-
-def _render_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
-    """Yield the `r cut alpha` table: its header, then blocks of rows, from
-    one pass over chunks(t)."""
-    spec = f"0{t.d}b"
-    yield "r cut alpha\n"
-    lo = 0
-    for block in _blocks(chunks(t)):
-        rows = block.tolist()
-        yield "".join(f"{r:{spec}} {cut} {t.m - 2 * cut}\n" for r, cut in enumerate(rows, lo))
-        lo += len(rows)
-
-
 def _render_json_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
     """Yield the "cuts" and "alphas" members laid out as json.dumps(...,
-    indent=2) lays out the last members of an object, in blocks of entries,
+    indent=2) lays out the last members of an object, one string per chunk,
     from one pass over chunks(t) per member."""
     for key, column in (("cuts", lambda c: c), ("alphas", lambda c: t.m - 2 * c)):
         sep = f',\n  "{key}": [\n    '
-        for block in _blocks(chunks(t)):
+        for block in chunks(t):
             yield sep + ",\n    ".join(map(str, column(block).tolist()))
             sep = ",\n    "
         yield "\n  ]"
@@ -239,46 +225,13 @@ def _cmd_ftable(args) -> int:
 def _cmd_cluster(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
     clustering = topology.cluster(t, args.levels, max_d=max_d)
-    _write_output(_render_labels(clustering), args.output)
+    # the labels in runs of n nodes: x = lo + y, y < n, has label(lo) XOR label(y)
+    n = min(gf2.TEXT_ROWS, t.N)
+    first = clustering.labels(0, n)
+    labels = ((first ^ clustering.label(lo),) for lo in range(0, t.N, n))
+    rows = gf2.text_rows(t.d, labels, [(0, (1 << args.levels) - 1)])
+    _write_output(itertools.chain(["node,label\n"], rows), args.output)
     return 0
-
-
-def _render_labels(clustering: topology.Clustering) -> Iterator[str]:
-    """Yield the `node,label` CSV: the header, then blocks of rows, each
-    rendered in one reused uint8 character table: d bit columns, a comma,
-    the label's decimal digits right-aligned, a newline; the unused leading
-    digit cells are dropped.  The low bit columns vary the same way in
-    every block and are written once; a block rewrites its high bit
-    columns, which are constant within it, and its label cells."""
-    d = clustering.d
-    digits = len(str((1 << clustering.levels) - 1))
-    width = d + digits + 2
-    rows = min(_CLUSTER_ROWS, 1 << d)
-    low = rows.bit_length() - 1   # node bits that vary within a block
-    table = np.empty((rows, width), dtype=np.uint8)
-    for j in range(low):   # the column of bit j: runs of 2**j '0' then 2**j '1'
-        column = table.reshape(-1, 2, 1 << j, width)[..., d - 1 - j]
-        column[:, 0] = ord("0")
-        column[:, 1] = ord("1")
-    table[:, d] = ord(",")
-    table[:, -1] = ord("\n")
-    places = 10 ** np.arange(digits - 1, 0, -1)   # place values of the cells that may be unused
-    keep = np.ones(table.shape, dtype=bool) if digits > 1 else None
-    first = clustering.labels(0, rows)
-    yield "node,label\n"
-    for lo in range(0, 1 << d, rows):
-        table[:, : d - low] = np.frombuffer(f"{lo:0{d}b}"[: d - low].encode("ascii"), np.uint8)
-        label = first ^ clustering.label(lo)
-        rest = label
-        for k in range(d + digits, d + 1, -1):   # digit cells right to left, then the leading one
-            rest, digit = np.divmod(rest, 10)
-            table[:, k] = digit + ord("0")
-        table[:, d + 1] = rest + ord("0")
-        if keep is None:
-            yield table.tobytes().decode("ascii")
-        else:
-            keep[:, d + 1 : -2] = label[:, None] >= places
-            yield table[keep].tobytes().decode("ascii")
 
 
 def _parse_lh_triple(text: str) -> tuple[int, int, int]:

@@ -12,7 +12,7 @@ from . import gf2
 from .codes import GeneratorMatrix
 from .topology import CayleyTopology
 
-__all__ = ["code_to_network", "network_to_code", "normalize_basis"]
+__all__ = ["code_to_network", "network_to_code"]
 
 
 def code_to_network(g: GeneratorMatrix) -> CayleyTopology:
@@ -30,15 +30,3 @@ def network_to_code(t: CayleyTopology) -> GeneratorMatrix:
     """Inverse of code_to_network; hops become columns in port order."""
     return GeneratorMatrix(k=t.d, n=t.m, rows=tuple(gf2.transpose(t.hops, t.d)))
 
-
-def normalize_basis(t: CayleyTopology) -> CayleyTopology:
-    """Rewrite the hop set so it contains the hypercube basis {2**s}.
-
-    Applies an invertible linear map to every hop (a column-space
-    diagonalization of the hop bit matrix), which is a graph isomorphism:
-    the multiset of Walsh cuts, and hence the bisection, is unchanged.
-    """
-    new_hops, ok = gf2.column_diagonalize(t.hops, t.d)
-    if not ok:
-        raise ValueError("hop set does not span the full dimension")
-    return CayleyTopology(d=t.d, hops=tuple(new_hops))

@@ -5,7 +5,9 @@ coefficient of 2**mu.  Rendered as text, words are written most
 significant bit first.  codeword_weights is the one engine that streams
 Walsh-domain quantities: the weight of the codeword r.G is the cut of the
 Walsh partition r of the hop set whose bit columns are G's rows, so
-bisection, code distance and clustering all read it.
+bisection, code distance and clustering all read it.  text_rows is the
+one renderer of per-word tables (the spectrum, cluster and forwarding-table
+outputs): one text row per d-bit word, with integer columns.
 """
 from __future__ import annotations
 
@@ -14,34 +16,20 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "parity",
-    "weight",
-    "walsh",
     "fwht",
     "codeword_weights",
     "transpose",
     "rank",
-    "column_diagonalize",
     "word_from_text",
     "word_to_text",
+    "text_rows",
+    "TEXT_ROWS",
 ]
 
 _TABLE_BITS = 16   # codeword_weights tabulates the low r bits and yields one chunk per table
-
-
-def parity(x: int) -> int:
-    """XOR of all bits of x: 1 iff an odd number of bits are set."""
-    return x.bit_count() & 1
-
-
-def weight(x: int) -> int:
-    """Hamming weight (number of set bits)."""
-    return x.bit_count()
-
-
-def walsh(r: int, x: int) -> int:
-    """Binary Walsh function: parity(r AND x)."""
-    return (r & x).bit_count() & 1
+# text_rows renders this many rows per reused table: a power of two, small
+# enough that a fresh process pages the table and its temporaries in once
+TEXT_ROWS = 1 << 13
 
 
 def fwht(values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -117,46 +105,6 @@ def rank(rows: Iterable[int]) -> int:
     return len(by_msb)
 
 
-def column_diagonalize(rows: Sequence[int], width: int) -> tuple[list[int], bool]:
-    """Column-reduce a bit matrix so d of its rows become the unit words.
-
-    `rows` holds m words of `width` bits each.  Only invertible column
-    operations are applied (bit-position swaps and XORing one bit position
-    into another), so the set of all 2**width GF(2) column combinations is
-    preserved and row order is untouched.  Pivots are taken from the first
-    row, in ascending index order, that has a usable nonzero bit.
-
-    Returns (new_rows, ok); ok is False when the columns do not have full
-    rank `width`, in which case new_rows holds the partial reduction.
-    """
-    work = [int(r) for r in rows]
-    m = len(work)
-    col = 0
-    for row_idx in range(m):
-        if col == width:
-            break
-        rest = work[row_idx] >> col
-        if rest == 0:
-            continue
-        j = col + ((rest & -rest).bit_length() - 1)
-        if j != col:
-            for q in range(m):
-                v = work[q]
-                bc = (v >> col) & 1
-                bj = (v >> j) & 1
-                if bc != bj:
-                    work[q] = v ^ (1 << col) ^ (1 << j)
-        # clear every other set bit of the pivot row via column additions
-        mask = work[row_idx] & ~(1 << col)
-        while mask:
-            j2 = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            for q in range(m):
-                work[q] ^= ((work[q] >> col) & 1) << j2
-        col += 1
-    return work, col == width
-
-
 def word_from_text(text: str) -> int:
     """Parse a binary string written most significant bit first."""
     if not text or set(text) - {"0", "1"}:
@@ -169,3 +117,67 @@ def word_to_text(value: int, width: int) -> str:
     if value < 0 or value >> width:
         raise ValueError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b")
+
+
+def text_rows(
+    d: int,
+    blocks: Iterable[Sequence[np.ndarray]],
+    bounds: Sequence[tuple[int, int]],
+    *,
+    lead: str = "",
+    sep: str = ",",
+) -> Iterator[str]:
+    """Yield the rows lead + word_to_text(x, d) + sep + str(v_0[x]) + sep +
+    str(v_1[x]) ... + "\n" for x = 0 .. 2**d - 1, one string per run of
+    at most TEXT_ROWS rows.
+
+    `blocks` yields, for consecutive runs of x, one integer array per
+    column; each run's length is a power of two and its first x a multiple
+    of it.  `bounds` holds each column's (lowest, highest) value, which
+    fixes its digit cells and whether it needs a sign cell.
+
+    The rows are written into one reused uint8 character table: the lead,
+    d bit columns, then per column the separator, an optional sign cell
+    and the digits right-aligned; unused sign and leading digit cells are
+    dropped.  The low bit columns vary the same way in every run of table
+    rows and are written once; a run rewrites its high bit columns, which
+    are constant within it, and its value cells.
+    """
+    rows = min(TEXT_ROWS, 1 << d)
+    low = rows.bit_length() - 1   # word bits that vary within a table
+    row, cells = lead + "0" * d, []   # per column: its sign cell or None, first digit cell, digits
+    for least, most in bounds:
+        row += sep
+        sign = len(row) if least < 0 else None
+        row += "-" * (least < 0)
+        digits = max(len(str(abs(least))), len(str(abs(most))))
+        cells.append((sign, len(row), digits))
+        row += "0" * digits
+    row += "\n"
+    table = np.empty((rows, len(row)), dtype=np.uint8)
+    table[:] = np.frombuffer(row.encode("ascii"), np.uint8)
+    for j in range(low):   # the column of bit j: runs of 2**j '0', then 2**j '1'
+        table.reshape(-1, 2, 1 << j, len(row))[:, 1, :, len(lead) + d - 1 - j] = ord("1")
+    droppable = any(sign is not None or digits > 1 for sign, _, digits in cells)
+    keep = np.ones(table.shape, dtype=bool) if droppable else None
+    x = 0
+    for block in blocks:
+        for lo in range(0, len(block[0]), rows):
+            values = [column[lo : lo + rows] for column in block]
+            part = slice(x % rows, x % rows + values[0].size)
+            view = table[part]
+            view[:, len(lead) : len(lead) + d - low] = np.frombuffer(
+                f"{x:0{d}b}"[: d - low].encode("ascii"), np.uint8)
+            for (sign, first, digits), value in zip(cells, values):
+                rest = magnitude = value if sign is None else np.abs(value)
+                for k in range(first + digits - 1, first, -1):   # right to left, then the leading one
+                    rest, digit = np.divmod(rest, 10)
+                    view[:, k] = digit + ord("0")
+                view[:, first] = rest + ord("0")
+                if keep is not None:
+                    keep[part, first : first + digits - 1] = (
+                        magnitude[:, None] >= 10 ** np.arange(digits - 1, 0, -1))
+                    if sign is not None:
+                        keep[part, sign] = value < 0
+            x += values[0].size
+            yield (view if keep is None else view[keep[part]]).tobytes().decode("ascii")

@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import gf2
 from .topology import CayleyTopology, hop_distances
 
 __all__ = [
@@ -51,7 +52,6 @@ DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
 # estimate their time at _SEARCH_SECONDS per search.
 MAX_WALK_SEARCHES = 1 << 18
 _SEARCH_SECONDS = 1e-4
-_CSV_ROWS = 1 << 16   # forwarding-table CSV rows rendered per block
 
 
 class Unroutable(RuntimeError):
@@ -227,7 +227,8 @@ class ForwardingTable:
 
     ports[s - 1, yrel] is the first hop of the s-th edge-disjoint path to
     Yrel, for selectors 1..q and Yrel 1..N-1; column 0 (self) is unused.
-    Node X forwards to Y by looking up Yrel = X XOR Y.
+    Node X forwards to Y by looking up Yrel = X XOR Y.  csv_blocks streams
+    the table as CSV text, one row per (selector, Yrel).
     """
 
     d: int
@@ -241,31 +242,14 @@ class ForwardingTable:
 
     def csv_blocks(self) -> Iterator[str]:
         """Yield the CSV `selector,destination,egress_port`: the header, then
-        blocks of at most _CSV_ROWS rows, selector by selector.  A block is
-        a uint8 character table: the selector and a comma, the destination's
-        d bits (unpacked once for every selector), a comma, the port's
-        decimal digits right-aligned, a newline; unused leading digit cells
-        are dropped."""
+        each selector's rows, rendered by gf2.text_rows with the lead "s,";
+        destination 0's row is dropped."""
         yield "selector,destination,egress_port\n"
-        d, n = self.d, self.ports.shape[1]
-        places = 10 ** np.arange(len(str(int(self.ports.max()))) - 1, -1, -1, dtype=np.int64)
-        yrel = np.arange(1, n, dtype=">u4")   # bytes most significant first
-        bits = np.unpackbits(yrel.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
+        bounds = [(0, int(self.ports.max()))]
         for s, row in enumerate(self.ports, 1):
-            lead = f"{s},".encode()
-            a = len(lead) + d   # the comma after the destination
-            for lo in range(1, n, _CSV_ROWS):
-                port = row[lo : lo + _CSV_ROWS, None].astype(np.int64)
-                table = np.empty((port.size, a + places.size + 2), dtype=np.uint8)
-                table[:, len(lead) : a] = bits[lo - 1 : lo - 1 + port.size]
-                table[:, a + 1 : -1] = port // places % 10
-                table += ord("0")
-                table[:, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-                table[:, a] = ord(",")
-                table[:, -1] = ord("\n")
-                keep = np.ones(table.shape, dtype=bool)
-                keep[:, a + 1 : -2] = port >= places[:-1]
-                yield table[keep].tobytes().decode("ascii")
+            rows = gf2.text_rows(self.d, [(row,)], bounds, lead=f"{s},")
+            yield next(rows).split("\n", 1)[1]   # destination 0 is not in the table
+            yield from rows
 
     def to_csv(self) -> str:
         """The whole CSV, as one string."""

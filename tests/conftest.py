@@ -35,6 +35,22 @@ def cube3():
     return topology.build(3, [1, 2, 4])
 
 
+def parity(x):
+    """XOR of all bits of x: 1 iff an odd number of bits are set."""
+    return x.bit_count() & 1
+
+
+def weight(x):
+    """Hamming weight (number of set bits)."""
+    return x.bit_count()
+
+
+def walsh(r, x):
+    """Binary Walsh function: parity(r AND x), the side of node x in the
+    Walsh partition r."""
+    return parity(r & x)
+
+
 def hypercube(d):
     return topology.build(d, [1 << i for i in range(d)])
 

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import longhop
-from longhop import cli, gf2, routing, topology
+from longhop import gf2, routing, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -272,7 +272,7 @@ class TestFtableClusterVerify:
     @pytest.mark.parametrize("levels", [0, 3, 4, 6])
     def test_cluster_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch, levels):
         # labels of one and two digits, rows split over blocks of 4
-        monkeypatch.setattr(cli, "_CLUSTER_ROWS", 4)
+        monkeypatch.setattr(gf2, "TEXT_ROWS", 4)
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -288,7 +288,7 @@ class TestFtableClusterVerify:
         rng = random.Random(14)
         path, out_file = tmp_path / "h.hops", tmp_path / "clusters.csv"
         for d in range(1, 19):
-            monkeypatch.setattr(cli, "_CLUSTER_ROWS", 1 << max(2, d - 6))
+            monkeypatch.setattr(gf2, "TEXT_ROWS", 1 << max(2, d - 6))
             hops = [1 << i for i in range(d)]
             hops += rng.sample(sorted(set(range(1, 1 << d)) - set(hops)), min(d, (1 << d) - 1 - d))
             t = topology.build(d, hops)
@@ -306,19 +306,49 @@ class TestFtableClusterVerify:
                 assert out_file.read_text(encoding="ascii") == expected, (d, levels)
 
     def test_spectrum_rows_across_render_blocks(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
-        code, out, _ = run(capsys, ["bisect", str(path), "--spectrum"])
         cuts = topology.bisection_fwht(t).cuts.tolist()
-        assert code == 0
-        assert out.endswith("r cut alpha\n" + "".join(
-            f"{r:06b} {cuts[r]} {t.m - 2 * cuts[r]}\n" for r in range(64)))
+        # cut chunks shorter than, as long as and longer than a row table
+        for table_bits, rows in ((2, 16), (4, 4), (5, 2)):
+            monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+            monkeypatch.setattr(gf2, "TEXT_ROWS", rows)
+            code, out, _ = run(capsys, ["bisect", str(path), "--spectrum"])
+            assert code == 0
+            assert out.endswith("r cut alpha\n" + "".join(
+                f"{r:06b} {cuts[r]} {t.m - 2 * cuts[r]}\n" for r in range(64))), table_bits
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_spectrum_rows_match_cuts(self, capsys, tmp_path, monkeypatch, d):
+        # m up to 120, so that cuts and alphas of one to three digits and
+        # negative alphas occur, on stdout and in a file; row tables of 4
+        # rows up to d = 8, then 64 tables per spectrum
+        rng = random.Random(d)
+        path, out_file = tmp_path / "h.hops", tmp_path / "spectrum.txt"
+        monkeypatch.setattr(gf2, "TEXT_ROWS", 1 << max(2, d - 6))
+        for m in sorted({d, min(d + 5, (1 << d) - 1), min(120, (1 << d) - 1)}):
+            hops = [1 << i for i in range(d)]
+            pool = sorted(set(range(1, 1 << d)) - set(hops)) if d < 12 else None
+            while len(hops) < m:
+                w = rng.getrandbits(d) if pool is None else rng.choice(pool)
+                if w not in hops and w & (w - 1):
+                    hops.append(w)
+            t = topology.build(d, hops)
+            path.write_text(topology.emit_hopset(t), encoding="utf-8")
+            cuts = topology.bisection_fwht(t).cuts.tolist()
+            expected = "r cut alpha\n" + "".join(
+                f"{r:0{d}b} {cut} {m - 2 * cut}\n" for r, cut in enumerate(cuts))
+            code, out, err = run(capsys, ["bisect", str(path), "--spectrum"])
+            assert (code, err) == (0, "") and out.endswith(expected), (d, m)
+            argv = ["bisect", str(path), "--spectrum", "-o", str(out_file)]
+            assert run(capsys, argv) == (0, "", ""), (d, m)
+            assert out_file.read_text(encoding="ascii") == out, (d, m)
 
     def test_spectrum_file_streams_render_blocks(self, tmp_path):
-        # the engine's chunks of 2**_TABLE_BITS words and a few blocks of
-        # rows; never the whole table or an N-entry array at once
+        # the engine's chunks of 2**_TABLE_BITS words, the cut and alpha
+        # chunks being rendered and a few row tables; never the whole table
+        # or an N-entry array at once
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "spectrum.txt"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -331,11 +361,11 @@ class TestFtableClusterVerify:
         assert code == 0
         rows = out.read_text(encoding="ascii").split("r cut alpha\n")[1]
         assert rows.count("\n") == t.N
-        assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * cli._RENDER_ROWS * (len(rows) // t.N)
+        assert peak < 7 * (8 << gf2._TABLE_BITS) + 6 * gf2.TEXT_ROWS * (len(rows) // t.N)
 
     @pytest.mark.parametrize("method", ["scan", "fwht"])
     def test_json_spectrum_across_render_blocks(self, capsys, tmp_path, monkeypatch, method):
-        monkeypatch.setattr(cli, "_RENDER_ROWS", 5)
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 2)   # 16 chunks of 4 entries
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -353,9 +383,9 @@ class TestFtableClusterVerify:
         assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_json_spectrum_file_streams_render_blocks(self, tmp_path):
-        # the engine's chunks and one block of entries at about 80 bytes each
-        # (a str object, its list slots, its joined text); never the whole
-        # payload, a list of N entries or an N-entry array
+        # the engine's chunks and the entries of one chunk at about 80 bytes
+        # each (a str object, its list slots, its joined text); never the
+        # whole payload, a list of N entries or an N-entry array
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "spectrum.json"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -368,10 +398,10 @@ class TestFtableClusterVerify:
         assert code == 0
         payload = json.loads(out.read_text(encoding="ascii"))
         assert len(payload["cuts"]) == len(payload["alphas"]) == t.N
-        assert peak < 5 * (8 << gf2._TABLE_BITS) + 80 * cli._RENDER_ROWS
+        assert peak < 5 * (8 << gf2._TABLE_BITS) + (80 << gf2._TABLE_BITS)
 
     def test_cluster_file_streams_render_blocks(self, tmp_path):
-        # the engine's chunks and a few blocks of rows; never the whole CSV
+        # the engine's chunks and a few row tables; never the whole CSV
         # or an N-entry array at once
         t = topology.build(18, [1 << i for i in range(18)] + [0x3FFFF, 0x15555, 0x2AAAA, 0x0F0F0])
         path, out = tmp_path / "h.hops", tmp_path / "clusters.csv"
@@ -385,7 +415,7 @@ class TestFtableClusterVerify:
         assert code == 0
         row = t.d + len(",7\n")
         assert out.stat().st_size == len("node,label\n") + t.N * row
-        assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * cli._CLUSTER_ROWS * row
+        assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * gf2.TEXT_ROWS * row
 
     @pytest.mark.parametrize("argv,chunks", [
         (["bisect"], 5), (["bisect", "--format", "json"], 5),

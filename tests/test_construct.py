@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from longhop import codes, gf2
+from longhop import codes
 from longhop.codes import GeneratorMatrix
-from longhop.construct import code_to_network, network_to_code, normalize_basis
+from longhop.construct import code_to_network, network_to_code
 from longhop.topology import bisection_bruteforce, bisection_fwht, bisection_scan, build
 
-from conftest import random_full_rank_generator
+from conftest import random_full_rank_generator, weight
 
 
 class TestCodeToNetwork:
@@ -44,6 +44,10 @@ class TestCodeToNetwork:
         with pytest.raises(ValueError, match="multi-edge"):
             code_to_network(g)
 
+    def test_rank_deficient_rejected_at_build(self):
+        with pytest.raises(ValueError, match="span"):
+            build(3, [0b011, 0b110, 0b101])
+
 
 class TestNetworkToCode:
     def test_folded_cube_code(self, folded3):
@@ -61,23 +65,6 @@ class TestNetworkToCode:
 
     def test_round_trip_from_code(self, hamming):
         assert network_to_code(code_to_network(hamming)) == hamming
-
-
-class TestNormalizeBasis:
-    def test_already_normalized(self, folded3):
-        assert normalize_basis(folded3) == folded3
-
-    def test_spectrum_preserved(self):
-        t = build(3, [0b011, 0b010, 0b110, 0b101])
-        t2 = normalize_basis(t)
-        assert {1, 2, 4} <= set(t2.hops)
-        assert sorted(bisection_fwht(t).cuts.tolist()) == sorted(
-            bisection_fwht(t2).cuts.tolist()
-        )
-
-    def test_rank_deficient_rejected_at_build(self):
-        with pytest.raises(ValueError, match="span"):
-            build(3, [0b011, 0b110, 0b101])
 
 
 class TestCentralEquivalence:
@@ -111,4 +98,4 @@ class TestCentralEquivalence:
                 for mu in range(d):
                     if (r >> mu) & 1:
                         combo ^= cols[mu]
-                assert gf2.weight(combo) == spec.cuts[r]
+                assert weight(combo) == spec.cuts[r]

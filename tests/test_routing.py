@@ -406,8 +406,9 @@ class TestForwardingTable:
         assert forwarding_table(folded3, 2).ports.shape == (2, 8)
 
     def test_csv_blocks(self, monkeypatch):
-        # rows stream in blocks of at most _CSV_ROWS, selector by selector,
-        # and join to the plain rendering whatever the block size
+        # rows stream in runs of at most gf2.TEXT_ROWS, selector by selector,
+        # less destination 0's row, and join to the plain rendering whatever
+        # the table size
         t = random_topology(random.Random(8), 6, 12)
         table = forwarding_table(t, 3)
         expected = "selector,destination,egress_port\n" + "".join(
@@ -415,11 +416,11 @@ class TestForwardingTable:
             for s in (1, 2, 3) for yrel in range(1, t.N)
         )
         assert table.to_csv() == expected
-        for rows in (1, 5, 62, 63, 64):
-            monkeypatch.setattr(routing, "_CSV_ROWS", rows)
+        for rows in (2, 8, 32, 64, 128):
+            monkeypatch.setattr(gf2, "TEXT_ROWS", rows)
             blocks = list(table.csv_blocks())
             assert "".join(blocks) == expected
-            assert len(blocks) == 1 + 3 * -(-(t.N - 1) // rows)
+            assert len(blocks) == 1 + 3 * (t.N // min(rows, t.N))
             assert all(0 < block.count("\n") <= rows for block in blocks[1:])
 
     def test_csv_format(self, cube3):

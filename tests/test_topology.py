@@ -30,7 +30,7 @@ from longhop.topology import (
     walsh_chunks,
 )
 
-from conftest import DATA, folded_cube, hypercube, random_topology
+from conftest import DATA, folded_cube, hypercube, random_topology, walsh
 
 
 def oracle_hop_distances(t):
@@ -87,16 +87,16 @@ def oracle_cluster(t, levels):
     used = []
     span = {0}
     for _ in range(levels):
-        intra = [h for h in t.hops if all(gf2.walsh(u, h) == 0 for u in used)]
+        intra = [h for h in t.hops if all(walsh(u, h) == 0 for u in used)]
         cross = np.zeros(N, dtype=np.int64)
         for h in intra:
-            cross += np.array([gf2.walsh(r, h) for r in range(N)], dtype=np.int64)
+            cross += np.array([walsh(r, h) for r in range(N)], dtype=np.int64)
         cross[list(span)] = t.m * N + 1
         r_star = int(np.argmin(cross))
         used.append(r_star)
         span |= {s ^ r_star for s in span}
     for r in used:
-        bit = np.array([gf2.walsh(r, x) for x in range(N)], dtype=np.int64)
+        bit = np.array([walsh(r, x) for x in range(N)], dtype=np.int64)
         labels = (labels << 1) | bit
     return labels
 
@@ -222,7 +222,7 @@ class TestCutWalsh:
             t = random_topology(rng, d, rng.randint(d, min(d + 3, (1 << d) - 1)))
             edges = list(t.edges())
             counts = [
-                sum(1 for u, v in edges if gf2.walsh(r, u) != gf2.walsh(r, v))
+                sum(1 for u, v in edges if walsh(r, u) != walsh(r, v))
                 for r in range(t.N)
             ]
             assert counts == [cut_walsh(t, r) * (t.N // 2) for r in range(t.N)]
