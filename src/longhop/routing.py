@@ -18,9 +18,12 @@ One walk generator serves every search.  It steps only where the walk
 can still arrive: a hop moves the distance to node 0 by at most one, so
 the admissible ports at a node are all ports, those that go no farther,
 or those that go one level closer, by the hops left.  The last two lists
-are kept per node, filled on first use (`_StepLists`), so one query pays
-only for the nodes it visits.  The walk also skips every edge of a path
-already accepted, which those candidates could never join.
+are kept per node (`_StepLists`): one query fills them on first use and
+pays only for the nodes it visits, while a whole table, which visits every
+node, fills them all in one numpy pass.  The walk also skips every edge of
+a path already accepted, which those candidates could never join, and
+after each yield backs up past the first of its own steps whose edge has
+since been taken, so every walk it yields is accepted.
 """
 from __future__ import annotations
 
@@ -46,12 +49,13 @@ __all__ = [
 
 DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
 # forwarding_table refuses to run more (N - 1) * q walk searches than this.
-# One search takes 0.01-0.1 ms on a 2-vCPU VM (the [48,13,16] fixture
-# network: 0.4-0.9 s at q = 4, 2.2-4.1 s at q = 16; d = 16, m = 32, q = 4,
-# at the budget: 11-25 s), so the budget is at most about 30 s; refusals
+# One search takes 7-15 us on a 2-vCPU VM (the [48,13,16] fixture network:
+# 0.24-0.34 s at q = 4, 0.9-1.3 s at q = 16; d = 16, m = 32, q = 4, at the
+# budget: 2.5-2.8 s), so the budget is at most about 5 s; refusals
 # estimate their time at _SEARCH_SECONDS per search.
 MAX_WALK_SEARCHES = 1 << 18
-_SEARCH_SECONDS = 1e-4
+_SEARCH_SECONDS = 2e-5
+_FILL_ENTRIES = 1 << 16   # (node, port) pairs per _StepLists.fill span: about 1 MiB of temporaries
 
 
 class Unroutable(RuntimeError):
@@ -78,10 +82,11 @@ def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> froz
 
 
 class _StepLists(dict):
-    """Step lists of one topology, filled on first use: node z maps to
-    (closer, level), the ports whose hop takes z one BFS level closer to
-    node 0 and no farther from it, in port order (bytes; a tuple when
-    m > 255).  Only the nodes a search visits get a row.
+    """Step lists of one topology: node z maps to (closer, level), the ports
+    whose hop takes z one BFS level closer to node 0 and no farther from it,
+    in port order (bytes; a tuple when m > 255).  A single query fills a row
+    on first use, so only the nodes it visits get one; `fill` gives every
+    node but 0 its row in one pass, for searches that visit them all.
 
     `dist` is hop_distances(t) as bytes, `hop[p]` the hop of port p
     (hop[0] is unused) and `every` all ports in order.
@@ -103,6 +108,24 @@ class _StepLists(dict):
         )
         return row
 
+    def fill(self) -> None:
+        """Give nodes 1..N-1 the rows __missing__ would, from numpy masks over
+        _FILL_ENTRIES (node, port) pairs at a time."""
+        dist = np.frombuffer(self.dist, dtype=np.uint8)
+        hops = np.array(self.hop[1:], dtype=np.min_scalar_type(len(dist) - 1))
+        span = max(1, _FILL_ENTRIES // len(hops))
+        for lo in range(1, len(dist), span):
+            z = np.arange(lo, min(lo + span, len(dist)), dtype=hops.dtype)
+            after = dist[z[:, None] ^ hops]      # after[i, p - 1]: distance past port p
+            dz = dist[z, None]
+            self.update(zip(z.tolist(), zip(self._rows(after < dz), self._rows(after <= dz))))
+
+    def _rows(self, mask: np.ndarray) -> list:
+        # the ports set in each row of mask, packed
+        ports = (mask.nonzero()[1] + 1).tolist()
+        ends = mask.sum(axis=1).cumsum().tolist()
+        return [self._pack(ports[a:b]) for a, b in zip([0, *ends], ends)]
+
 
 def _walks_exact(
     t: CayleyTopology,
@@ -118,9 +141,10 @@ def _walks_exact(
     one, so with `left` hops after this step and slack = left - dist[rest],
     the steps that can still reach yrel are the closer ports (slack -1),
     the level ports (slack 0) or every port (slack >= 1).  `used` is read
-    live: the caller may add edges between two yields, and no later walk
-    steps on them.  Prefixes taken before such an addition are not
-    re-checked, so callers still test each walk's edges.
+    live: the caller may add edges between two yields.  After each yield the
+    walk re-checks its own steps and backs up to the first one whose edge is
+    now used, so no walk it yields takes an edge that was in `used` at the
+    time.
     """
     dist, hop, every, m = steps.dist, steps.hop, steps.every, t.m
 
@@ -131,10 +155,12 @@ def _walks_exact(
         return iter(every if slack > 0 else steps[rest][slack + 1])
 
     # depth-first over an explicit stack: at depth k the walk stands on
-    # node[k] and todo[k] holds the ports still to try for hop seq[k]
+    # node[k], todo[k] holds the ports still to try for hop seq[k], and
+    # edge[k] is the edge id of hop seq[k]
     last = length - 1
     seq = [0] * length
     node = [0] * length
+    edge = [0] * length
     todo = [admitted(0, last)] * length   # todo[k > 0] is set on the way down
     k = 0
     while k >= 0:
@@ -142,16 +168,21 @@ def _walks_exact(
         prev = seq[k - 1] if k else 0
         for p in todo[k]:
             y = x ^ hop[p]
-            if p == prev or (x if x < y else y) * m + p in used:
+            e = (x if x < y else y) * m + p
+            if p == prev or e in used:
                 continue
             seq[k] = p
-            if k == last:
-                yield tuple(seq)
-            else:
+            edge[k] = e
+            if k < last:
                 k += 1
                 node[k] = y
                 todo[k] = admitted(y, last - k)
                 break
+            yield tuple(seq)
+            if used:   # the caller may have taken some of these edges
+                k = next((j for j in range(length) if edge[j] in used), k)
+                if k < last:
+                    break
         else:
             k -= 1
 
@@ -200,20 +231,18 @@ def _disjoint_paths(
 ) -> list[tuple[int, ...]]:
     """disjoint_paths for validated arguments, given the topology's step lists.
 
-    A walk that steps on an edge of an accepted path could never be
-    accepted, so the search skips it; the greedy's choices do not change.
+    _walks_exact skips every edge of an accepted path, so each walk it
+    yields is disjoint from those already chosen and is accepted.
     """
     base = steps.dist[yrel]
     chosen: list[tuple[int, ...]] = []
     used: set[int] = set()
     for length in range(base, base + extra_length + 1):
         for seq in _walks_exact(t, yrel, length, steps, used):
-            edges = path_edges(t, seq)
-            if used.isdisjoint(edges):
-                chosen.append(seq)
-                used |= edges
-                if len(chosen) == q:
-                    return chosen
+            chosen.append(seq)
+            used |= path_edges(t, seq)
+            if len(chosen) == q:
+                return chosen
     raise Unroutable(
         f"only {len(chosen)} edge-disjoint paths of length <= {base + extra_length} "
         f"exist for destination {yrel} (requested {q})",
@@ -251,10 +280,6 @@ class ForwardingTable:
             yield next(rows).split("\n", 1)[1]   # destination 0 is not in the table
             yield from rows
 
-    def to_csv(self) -> str:
-        """The whole CSV, as one string."""
-        return "".join(self.csv_blocks())
-
 
 def forwarding_table(
     t: CayleyTopology, q: int, *, extra_length: int = DEFAULT_EXTRA_LENGTH
@@ -276,6 +301,7 @@ def forwarding_table(
             f" about {searches * _SEARCH_SECONDS:.0f} s; the budget is {MAX_WALK_SEARCHES}"
         )
     steps = _StepLists(t, hop_distances(t).tobytes())
+    steps.fill()   # the searches visit every node
     firsts = [
         [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, steps)]
         for yrel in range(1, t.N)

@@ -63,16 +63,6 @@ def oracle_disjoint_paths(t, walks, yrel, q, extra_length):
     return len(chosen)
 
 
-def step_edges(t, path):
-    """Edge id of each hop of `path` from node 0, in order."""
-    edges, x = [], 0
-    for p in path:
-        y = x ^ t.hops[p - 1]
-        edges.append(min(x, y) * t.m + p)
-        x = y
-    return edges
-
-
 def record_step_lists(monkeypatch):
     """Patch routing._StepLists to keep every instance made; returns the list."""
     made = []
@@ -120,7 +110,7 @@ def test_disjoint_paths_and_table_match_oracle(case):
         return
     csv = "".join(f"{s},{yrel:0{t.d}b},{port}\n" for s, yrel, port in sorted(rows))
     table = forwarding_table(t, q, extra_length=extra_length)
-    assert table.to_csv() == "selector,destination,egress_port\n" + csv
+    assert "".join(table.csv_blocks()) == "selector,destination,egress_port\n" + csv
 
 
 class TestStepLists:
@@ -141,17 +131,46 @@ class TestStepLists:
                     ]
                 assert len(steps) == t.N
 
+    def test_fill_matches_missing_every_node(self):
+        rng = random.Random(13)
+        for d in range(1, 10):
+            for _ in range(3):
+                t = random_topology(rng, d, rng.randint(d, min(d + 6, (1 << d) - 1)))
+                dist = hop_distances(t).tobytes()
+                filled = routing._StepLists(t, dist)
+                filled.fill()
+                lazy = routing._StepLists(t, dist)
+                assert len(filled) == t.N - 1
+                assert filled == {z: lazy[z] for z in range(1, t.N)}
+
+    def test_fill_spans_split_nodes(self, monkeypatch):
+        # spans of one node (also when _FILL_ENTRIES is below m), of a few
+        # nodes with a short last span, and of the whole table
+        t = random_topology(random.Random(14), 7, 12)
+        dist = hop_distances(t).tobytes()
+        lazy = routing._StepLists(t, dist)
+        expected = {z: lazy[z] for z in range(1, t.N)}
+        for entries in (1, 12, 50, 1 << 20):
+            monkeypatch.setattr(routing, "_FILL_ENTRIES", entries)
+            filled = routing._StepLists(t, dist)
+            filled.fill()
+            assert filled == expected
+
     def test_more_than_255_ports_pack_tuples(self):
         t = random_topology(random.Random(9), 9, 300)
         steps = routing._StepLists(t, hop_distances(t).tobytes())
         assert steps.every == tuple(range(1, 301))
         assert all(type(row) is tuple for row in steps[0b101])
+        filled = routing._StepLists(t, steps.dist)
+        filled.fill()
+        assert filled == {z: steps[z] for z in range(1, t.N)}
+        assert all(type(row) is tuple for rows in filled.values() for row in rows)
         table = forwarding_table(t, 1)
         assert table.ports.dtype == np.uint16 and table.ports.max() > 255
         expected = "".join(
             f"1,{yrel:09b},{disjoint_paths(t, yrel, 1)[0][0]}\n" for yrel in range(1, t.N)
         )
-        assert table.to_csv() == "selector,destination,egress_port\n" + expected
+        assert "".join(table.csv_blocks()) == "selector,destination,egress_port\n" + expected
 
     def test_single_query_fills_only_visited_rows(self, monkeypatch):
         # d = 20: one query fills rows for the few hundred nodes its walks
@@ -274,10 +293,9 @@ class TestDisjointPaths:
         monkeypatch.setattr(routing, "path_edges", record)
         assert disjoint_paths(cube3, 0b001, 3) == tried == [(1,), (2, 1, 2), (3, 1, 3)]
 
-    def test_used_edges_pruned_before_path_edges(self, monkeypatch):
-        # the steps a candidate took after the previous candidate of its
-        # length was judged avoid every edge accepted by then; only a prefix
-        # shared with that candidate may carry one to path_edges
+    def test_every_walk_reaching_path_edges_is_accepted(self, monkeypatch):
+        # the walk backs up past any step whose edge an accepted path took,
+        # so nothing it yields is rejected
         tried = []
 
         def record(t, path, start=0):
@@ -286,33 +304,26 @@ class TestDisjointPaths:
 
         monkeypatch.setattr(routing, "path_edges", record)
         rng = random.Random(31)
-        rejected = 0
         for _ in range(40):
             d = rng.randint(3, 6)
             t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
             yrel, q = rng.randint(1, t.N - 1), rng.randint(1, t.m)
             tried.clear()
-            try:
-                chosen = disjoint_paths(t, yrel, q)
-            except Unroutable:
-                continue
-            used, accepted, prev = set(), 0, ()
-            for seq in tried:
-                edges = step_edges(t, seq)
-                shared = 0
-                if len(prev) == len(seq):
-                    while seq[shared] == prev[shared]:
-                        shared += 1
-                assert used.isdisjoint(edges[shared:]), (t.hops, yrel, seq)
-                if accepted < len(chosen) and seq == chosen[accepted]:
-                    used |= set(edges)
-                    accepted += 1
-                else:
-                    assert not used.isdisjoint(edges)
-                    rejected += 1
-                prev = seq
-            assert accepted == q
-        assert rejected > 0   # the check above saw rejections
+            assert disjoint_paths(t, yrel, q) == tried, (t.hops, yrel, q)
+
+    def test_whole_table_calls_path_edges_once_per_path(self, monkeypatch):
+        # g48 at q = 4: one call per accepted path, 4 * 8191 in all
+        t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
+        calls = 0
+
+        def count(t, path, start=0):
+            nonlocal calls
+            calls += 1
+            return path_edges(t, path, start)
+
+        monkeypatch.setattr(routing, "path_edges", count)
+        forwarding_table(t, 4)
+        assert calls == 4 * (t.N - 1) == 32764
 
     def test_diversity_bounds(self, cube3):
         with pytest.raises(ValueError):
@@ -380,8 +391,8 @@ class TestForwardingTable:
         ports = np.zeros((q, t.N), dtype=np.uint8)
         for yrel in range(1, t.N):
             ports[:, yrel] = [path[0] for path in disjoint_paths(t, yrel, q)]
-        expected = routing.ForwardingTable(d=t.d, q=q, ports=ports).to_csv()
-        assert forwarding_table(t, q).to_csv() == expected
+        expected = routing.ForwardingTable(d=t.d, q=q, ports=ports).csv_blocks()
+        assert list(forwarding_table(t, q).csv_blocks()) == list(expected)
 
     def test_bad_diversity_rejected_before_bfs(self, cube3, monkeypatch):
         def no_bfs(t):
@@ -415,7 +426,7 @@ class TestForwardingTable:
             f"{s},{yrel:06b},{table.egress(s, yrel)}\n"
             for s in (1, 2, 3) for yrel in range(1, t.N)
         )
-        assert table.to_csv() == expected
+        assert "".join(table.csv_blocks()) == expected
         for rows in (2, 8, 32, 64, 128):
             monkeypatch.setattr(gf2, "TEXT_ROWS", rows)
             blocks = list(table.csv_blocks())
@@ -425,7 +436,7 @@ class TestForwardingTable:
 
     def test_csv_format(self, cube3):
         table = forwarding_table(cube3, 1)
-        lines = table.to_csv().splitlines()
+        lines = "".join(table.csv_blocks()).splitlines()
         assert lines[0] == "selector,destination,egress_port"
         assert lines[1] == "1,001,1"
         assert len(lines) == 8
