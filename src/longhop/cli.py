@@ -1,11 +1,14 @@
 """Command-line frontend.
 
 Subcommands: bisect, mindist, convert, optimize, routes, ftable, cluster,
-compare, verify.  Exit codes: 0 success, 1 input error, 2 infeasibility.
-Data output is deterministic: identical inputs produce byte-identical
-output, integers print exactly, reals with 6 decimals.  The tables with
-one row per d-bit word (bisect --spectrum, cluster, ftable) are rendered
-by gf2.text_rows and written as they are made, never held whole.
+compare, verify.  A call builds the parser of the subcommand it names
+alone; help, an unknown or missing command, or a top-level argument other
+than --seed builds them all.  Exit codes: 0 success, 1 input error,
+2 infeasibility.  Data output is deterministic: identical inputs produce
+byte-identical output, integers print exactly, reals with 6 decimals.  The
+tables with one row per d-bit word (bisect --spectrum, cluster, ftable)
+are rendered by gf2.text_rows and written as they are made, never held
+whole.
 """
 from __future__ import annotations
 
@@ -308,44 +311,41 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="longhop", description=__doc__)
-    parser.add_argument("--seed", type=int, default=1, help="seed for randomized checks")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _allow_large_args(p: _Parser) -> None:
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"lift the d <= {topology.DEFAULT_MAX_D} full-spectrum cap")
 
-    def add_allow_large(p):
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"lift the d <= {topology.DEFAULT_MAX_D} full-spectrum cap")
 
-    def add_output(p):
-        p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+def _output_args(p: _Parser) -> None:
+    p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
-    p = sub.add_parser("bisect", help="bisection of a hop-set file")
+
+def _bisect_args(p: _Parser) -> None:
     p.add_argument("hopfile")
     p.add_argument("--method", choices=["fwht", "scan"], default="scan")
     p.add_argument("--spectrum", action="store_true", help="print all cuts and eigenvalues")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    add_allow_large(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_bisect)
+    _allow_large_args(p)
+    _output_args(p)
 
-    p = sub.add_parser("mindist", help="minimum distance of a generator-matrix file")
+
+def _mindist_args(p: _Parser) -> None:
     p.add_argument("genfile")
     p.add_argument("--limit", type=int, default=codes.DEFAULT_EXHAUSTION_LIMIT,
                    help="refuse exhaustive search beyond this k")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_mindist)
 
-    p = sub.add_parser("convert", help="translate between code and hop-set files")
+
+def _convert_args(p: _Parser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-hops", action="store_true", help="generator matrix -> hop set")
     group.add_argument("--to-code", action="store_true", help="hop set -> generator matrix")
     p.add_argument("infile")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("optimize", help="search for a bisection-maximizing hop set")
+
+def _optimize_args(p: _Parser) -> None:
     p.add_argument("-d", type=int, required=True, help="dimension (log2 of node count)")
     p.add_argument("-m", type=int, required=True, help="number of hops")
     p.add_argument("--method", choices=["brute", "greedy"], default="brute")
@@ -354,31 +354,31 @@ def _build_parser() -> _Parser:
                    help="greedy only (default 1)")
     p.add_argument("--max-rounds", type=int, default=None, help="greedy only (default 100)")
     p.add_argument("-o", "--output", default=None, help="write best hop set to this file")
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("routes", help="shortest or edge-disjoint paths")
+
+def _routes_args(p: _Parser) -> None:
     p.add_argument("hopfile")
     p.add_argument("--dest", required=True, help="destination as a binary node label")
     p.add_argument("--src", default=None, help="source node label (default 0)")
     p.add_argument("--diversity", type=int, default=None,
                    help="return this many edge-disjoint paths instead of all shortest")
-    add_output(p)
-    p.set_defaults(func=_cmd_routes)
+    _output_args(p)
 
-    p = sub.add_parser("ftable", help="forwarding table as CSV")
+
+def _ftable_args(p: _Parser) -> None:
     p.add_argument("hopfile")
     p.add_argument("--diversity", type=int, required=True, help="selectors per destination")
-    add_output(p)
-    p.set_defaults(func=_cmd_ftable)
+    _output_args(p)
 
-    p = sub.add_parser("cluster", help="recursive minimum-cut clustering labels")
+
+def _cluster_args(p: _Parser) -> None:
     p.add_argument("hopfile")
     p.add_argument("--levels", type=int, required=True)
-    add_allow_large(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_cluster)
+    _allow_large_args(p)
+    _output_args(p)
 
-    p = sub.add_parser("compare", help="topology-family cost comparison table")
+
+def _compare_args(p: _Parser) -> None:
     p.add_argument("--ports", type=float, required=True)
     p.add_argument("--radix", type=float, required=True)
     p.add_argument("--lh", default=None, help="long-hop code as 'd,m,delta'")
@@ -386,19 +386,60 @@ def _build_parser() -> _Parser:
     p.add_argument("--ft-levels", type=int, default=4)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("verify", help="cross-check bisection algorithms on an instance")
+
+def _verify_args(p: _Parser) -> None:
     p.add_argument("hopfile", nargs="?", default=None)
     p.add_argument("--edge-list", default=None,
                    help="run the equipartition oracle on an edge-list file instead")
-    add_allow_large(p)
-    p.set_defaults(func=_cmd_verify)
+    _allow_large_args(p)
+
+
+# name -> (help, the function adding its arguments, the function running it),
+# in the order `longhop -h` lists them
+_COMMANDS: dict[str, tuple[str, Callable[[_Parser], None], Callable[..., int]]] = {
+    "bisect": ("bisection of a hop-set file", _bisect_args, _cmd_bisect),
+    "mindist": ("minimum distance of a generator-matrix file", _mindist_args, _cmd_mindist),
+    "convert": ("translate between code and hop-set files", _convert_args, _cmd_convert),
+    "optimize": ("search for a bisection-maximizing hop set", _optimize_args, _cmd_optimize),
+    "routes": ("shortest or edge-disjoint paths", _routes_args, _cmd_routes),
+    "ftable": ("forwarding table as CSV", _ftable_args, _cmd_ftable),
+    "cluster": ("recursive minimum-cut clustering labels", _cluster_args, _cmd_cluster),
+    "compare": ("topology-family cost comparison table", _compare_args, _cmd_compare),
+    "verify": ("cross-check bisection algorithms on an instance", _verify_args, _cmd_verify),
+}
+
+
+def _command_name(argv: list[str]) -> str | None:
+    """The subcommand argv names after any `--seed N` or `--seed=N`, or None
+    where telling it needs every subparser: help, any other top-level
+    argument, or an unknown or missing command."""
+    args = iter(argv)
+    for arg in args:
+        if arg == "--seed":
+            next(args, None)
+        elif not arg.startswith("--seed="):
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser with the subparser of `command` alone, or of every
+    subcommand when `command` is None."""
+    parser = _Parser(prog="longhop", description=__doc__)
+    parser.add_argument("--seed", type=int, default=1, help="seed for randomized checks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_args, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(_command_name(argv))
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and not args.hopfile and not args.edge_list:

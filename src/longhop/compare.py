@@ -174,17 +174,16 @@ def model_lh(
 
     With a matrix, delta comes from min_distance and, for k <= DEFAULT_MAX_D,
     the hop counts from a breadth-first scan of the constructed network;
-    otherwise, and with a bare triple, the hop counts are left empty.
+    otherwise, and with a bare triple, the hop counts are left empty.  A
+    radix too small for the code is refused before that scan, which takes
+    seconds at k = 24.
     """
-    max_hops: int | None = None
-    avg_hops: float | None = None
+    network = None
     if isinstance(code, GeneratorMatrix):
         d, m = code.k, code.n
         delta = min_distance(code)
         if d <= DEFAULT_MAX_D:
-            summary = distances(code_to_network(code))
-            max_hops = summary.diameter
-            avg_hops = summary.mean
+            network = code_to_network(code)
     else:
         d, m, delta = code
     if d < 1 or m < d or delta < 1:
@@ -195,6 +194,12 @@ def model_lh(
             f"radix {r:.6g} too small for m + delta = {m + delta} topological"
             " plus server ports"
         )
+    max_hops: int | None = None
+    avg_hops: float | None = None
+    if network is not None:
+        summary = distances(network)
+        max_hops = summary.diameter
+        avg_hops = summary.mean
     note = ""
     if abs(switches * ports - p) > 1e-3 * max(p, 1.0):
         note = f"supplies {switches * ports:.6g} ports, target {p:.6g}"

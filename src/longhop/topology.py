@@ -1,10 +1,10 @@
 """XOR Cayley topologies over d-bit node labels.
 
 Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
-leads to x XOR hops[s-1].  Adjacency is never materialized; neighbors are
-computed by XOR on demand.  Breadth-first search works on bit-packed node
-sets, N/8 bytes each.  It grows a sparse level from its listed nodes and a
-dense one by moving the whole set along each hop with word-level XOR
+leads to x XOR hops[s-1].  Adjacency is never materialized: callers XOR a
+node with the hops themselves.  Breadth-first search works on bit-packed
+node sets, N/8 bytes each.  It grows a sparse level from its listed nodes
+and a dense one by moving the whole set along each hop with word-level XOR
 arithmetic, into only the words that still hold unvisited nodes once those
 are few, so its memory is O(N/8) bytes independent of m.  hop_distances
 fills an N-byte vector from it; distances only popcounts each level: at
@@ -101,12 +101,6 @@ class CayleyTopology:
     def m(self) -> int:
         return len(self.hops)
 
-    def neighbors(self, x: int) -> list[tuple[int, int]]:
-        """(port, neighbor) pairs of node x, in port order 1..m."""
-        if not 0 <= x < self.N:
-            raise ValueError(f"node {x} out of range 0..{self.N - 1}")
-        return [(s, x ^ h) for s, h in enumerate(self.hops, 1)]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All undirected edges, each once, as (u, v) with u < v."""
         for x in range(self.N):
@@ -178,7 +172,8 @@ def check_cap(d: int, max_d: int) -> None:
     cap = min(max_d, HARD_MAX_D)
     if d > cap:
         raise ValueError(
-            f"d={d} exceeds the full-spectrum cap {cap}; pass a larger max_d to override"
+            f"d={d} exceeds the full-spectrum cap {cap};"
+            " bisect, cluster and verify lift it with --allow-large (library: max_d)"
         )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import tracemalloc
 import pytest
 
 import longhop
-from longhop import gf2, routing, topology
+from longhop import cli, compare, gf2, routing, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -25,7 +26,24 @@ def folded3_file(tmp_path):
     return str(path)
 
 
+def parse_outcome(parser, argv):
+    """What parsing argv gives: the Namespace (its repr, as nan != nan), the
+    usage error, or the exit status and standard output of help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return repr(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
 def run(capsys, argv):
+    # main builds only the named subcommand's parser; every argv parses as
+    # with the parser of all subcommands
+    narrow = cli._build_parser(cli._command_name(argv))
+    assert parse_outcome(narrow, argv) == parse_outcome(cli._build_parser(), argv), argv
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -517,6 +535,17 @@ class TestCompareCommand:
         assert code == 1 and out == ""
         assert f"{flag[2:]} must be positive and finite, got {float(value)}" in err
 
+    def test_infeasible_radix_refused_before_the_scan(self, capsys, monkeypatch):
+        def no_scan(t):
+            raise AssertionError("compare ran the breadth-first scan")
+
+        monkeypatch.setattr(compare, "distances", no_scan)
+        code, out, err = run(capsys, ["compare", "--ports", "131072", "--radix", "63",
+                                      "--lh-code", str(DATA / "g48_13_16.txt")])
+        assert code == 2 and out == ""
+        assert err == ("infeasible: radix 63 too small for m + delta = 64 topological"
+                       " plus server ports\n")
+
     def test_bad_triple(self, capsys):
         code, _, err = run(
             capsys,
@@ -550,6 +579,63 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
         assert code == 1
+
+
+class TestNarrowParser:
+    @pytest.mark.parametrize("argv,command", [
+        (["--seed", "5", "verify", "{hops}"], "verify"),
+        (["--seed=5", "routes", "{hops}", "--dest", "110"], "routes"),
+        (["--seed", "x", "bisect", "{hops}"], "bisect"),   # refused by the shared top level
+        (["bisect", "-h"], "bisect"),
+        (["-h"], None),
+        (["-h", "bisect"], None),
+        (["--help"], None),
+        (["frobnicate", "{hops}"], None),
+        ([], None),
+        (["--seed", "x"], None),
+        (["--seed"], None),
+        (["--se", "5", "verify", "{hops}"], None),   # an abbreviation takes the full parser
+    ])
+    def test_same_as_full_parser(self, capsys, monkeypatch, folded3_file, argv, command):
+        argv = [arg.format(hops=folded3_file) for arg in argv]
+        assert cli._command_name(argv) == command
+
+        def outcome():
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # help
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        narrow = outcome()
+        monkeypatch.setattr(cli, "_command_name", lambda argv: None)
+        assert narrow == outcome()
+        assert parse_outcome(cli._build_parser(command), argv) == parse_outcome(
+            cli._build_parser(), argv)
+
+    def test_full_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+        assert all(f"    {name}" in out for name in cli._COMMANDS)
+
+    def test_cap_refusal_names_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "d25.hops"
+        path.write_text(topology.emit_hopset(topology.build(25, [1 << i for i in range(25)])))
+        code, out, err = run(capsys, ["bisect", str(path)])
+        assert code == 1 and out == ""
+        assert err == ("error: d=25 exceeds the full-spectrum cap 24;"
+                       " bisect, cluster and verify lift it with --allow-large (library: max_d)\n")
+        flagged = []
+        for name, (_, add_args, _) in cli._COMMANDS.items():
+            parser = argparse.ArgumentParser()
+            add_args(parser)
+            if "--allow-large" in parser.format_help():
+                flagged.append(name)
+        assert flagged == ["bisect", "cluster", "verify"]
 
 
 class TestFreshProcess:
@@ -597,3 +683,34 @@ for argv in json.loads(sys.argv[1]):
         assert [argv for argv, _, _ in report] == commands
         assert all(status == 0 for _, status, _ in report), report
         assert not any(imported for _, _, imported in report), report
+
+    def test_builds_only_the_named_subparser(self):
+        # every argparse parser built, by prog: at import, then per call
+        script = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def record(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = record
+from longhop import cli
+print(json.dumps(built), file=sys.stderr)
+for argv in json.loads(sys.argv[1]):
+    built.clear()
+    print(json.dumps([cli.main(argv), built]), file=sys.stderr)
+"""
+        hops = str(DATA / "folded3.hops")
+        commands = [["routes", hops, "--dest", "110", "--diversity", "2"], ["frobnicate"]]
+        package_root = os.path.dirname(os.path.dirname(longhop.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, check=True)
+        at_import, *report = [json.loads(line) for line in proc.stderr.splitlines()
+                              if line.startswith("[")]
+        assert at_import == []
+        assert report == [
+            [0, ["longhop", "longhop routes"]],
+            [1, ["longhop", *(f"longhop {name}" for name in cli._COMMANDS)]],
+        ]

@@ -35,7 +35,7 @@ class TestCodeToNetwork:
             rows.append(row)
         g = GeneratorMatrix(k=3, n=7, rows=tuple(rows))
         t = code_to_network(g)
-        assert {y for _, y in t.neighbors(0)} == set(range(1, 8))
+        assert {0 ^ h for h in t.hops} == set(range(1, 8))
         assert bisection_fwht(t).b == 4
         assert bisection_bruteforce(list(t.edges()), 8) == 16
 

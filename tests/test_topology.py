@@ -185,19 +185,18 @@ class TestBuild:
 
 class TestNeighbors:
     def test_root_of_folded_cube(self, folded3):
-        assert {y for _, y in folded3.neighbors(0)} == {1, 2, 4, 7}
+        assert {0 ^ h for h in folded3.hops} == {1, 2, 4, 7}
 
     def test_port_order(self, cube3):
-        assert cube3.neighbors(5) == [(1, 4), (2, 7), (3, 1)]
+        assert [(s, 5 ^ h) for s, h in enumerate(cube3.hops, 1)] == [(1, 4), (2, 7), (3, 1)]
 
     def test_ports_are_involutions(self, folded3):
+        # port s leads from x to y = x ^ h and back from y to x, over one edge
+        edges = set(folded3.edges())
         for x in range(folded3.N):
-            for s, y in folded3.neighbors(x):
-                assert dict(folded3.neighbors(y))[s] == x
-
-    def test_out_of_range(self, folded3):
-        with pytest.raises(ValueError):
-            folded3.neighbors(8)
+            for h in folded3.hops:
+                y = x ^ h
+                assert y ^ h == x and (min(x, y), max(x, y)) in edges
 
     def test_regular_edge_count(self):
         rng = random.Random(3)
@@ -486,7 +485,7 @@ class TestDistances:
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for _, v in t.neighbors(u):
+                    for v in (u ^ h for h in t.hops):
                         if v not in dist:
                             dist[v] = dist[u] + 1
                             nxt.append(v)
