@@ -8,17 +8,21 @@ than --seed builds them all.  Exit codes: 0 success, 1 input error,
 byte-identical output, integers print exactly, reals with 6 decimals.  The
 tables with one row per d-bit word (bisect --spectrum, cluster, ftable)
 are rendered by gf2.text_rows and written as they are made, never held
-whole.
+whole.  A command opens its -o file before its work, so an unwritable path
+is refused at once, and a run that then fails removes the file.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
+import os
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -45,17 +49,27 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _write_output(text: str | Iterable[str], out: str | None) -> None:
-    """Write a string, or an iterable of strings in order, to `out` or stdout."""
-    parts = (text,) if isinstance(text, str) else text
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as f:
-                f.writelines(parts)
-        except OSError as exc:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The file `out`, opened for writing at once, or stdout.  Commands open
+    it before their work, so an unwritable path is refused before any; a
+    run that fails once it is open removes it, leaving no partial file."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        f = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+    try:
+        with f:
+            yield f
+    except BaseException as exc:
+        if os.path.isfile(out):   # a regular file, never a device such as /dev/null
+            os.remove(out)
+        if isinstance(exc, OSError):
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.writelines(parts)
+        raise
 
 
 def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopology, int]:
@@ -66,6 +80,12 @@ def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopolog
 
 def _cmd_bisect(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
+    with _output(args.output) as f:
+        f.writelines(_bisect_text(t, max_d, args))
+    return 0
+
+
+def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
     if args.method == "fwht":
         topology.check_cap(t.d, max_d)
         chunks = topology.walsh_chunks
@@ -87,8 +107,8 @@ def _cmd_bisect(args) -> int:
         }
         head = json.dumps(payload, indent=2)[: -len("\n}")]
         rows = _render_json_spectrum(chunks, t) if args.spectrum else ()
-        _write_output(itertools.chain([head], rows, ["\n}\n"]), args.output)
-        return 0
+        yield from itertools.chain([head], rows, ["\n}\n"])
+        return
     lines = [
         f"d: {t.d}",
         f"m: {t.m}",
@@ -103,8 +123,7 @@ def _cmd_bisect(args) -> int:
             t.d, ((cut, t.m - 2 * cut) for cut in chunks(t)), [(0, t.m), (-t.m, t.m)], sep=" ")
     else:
         rows = ()
-    _write_output(itertools.chain(["\n".join(lines) + "\n"], rows), args.output)
-    return 0
+    yield from itertools.chain(["\n".join(lines) + "\n"], rows)
 
 
 def _render_json_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
@@ -123,14 +142,12 @@ def _cmd_mindist(args) -> int:
     if args.limit > topology.HARD_MAX_D:
         raise ValueError(f"--limit must be at most {topology.HARD_MAX_D}, got {args.limit}")
     g = codes.parse_generator(_read(args.genfile))
-    delta = codes.min_distance(g, limit=args.limit)
-    if args.format == "json":
-        _write_output(
-            json.dumps({"n": g.n, "k": g.k, "min_distance": delta}, indent=2) + "\n",
-            args.output,
-        )
-    else:
-        _write_output(f"n: {g.n}\nk: {g.k}\nmin_distance: {delta}\n", args.output)
+    with _output(args.output) as f:
+        delta = codes.min_distance(g, limit=args.limit)
+        if args.format == "json":
+            f.write(json.dumps({"n": g.n, "k": g.k, "min_distance": delta}, indent=2) + "\n")
+        else:
+            f.write(f"n: {g.n}\nk: {g.k}\nmin_distance: {delta}\n")
     return 0
 
 
@@ -138,11 +155,13 @@ def _cmd_convert(args) -> int:
     if args.to_hops:
         g = codes.parse_generator(_read(args.infile))
         t = construct.code_to_network(g)
-        _write_output(topology.emit_hopset(t), args.output)
+        text = topology.emit_hopset(t)
     else:
         t = topology.parse_hopset(_read(args.infile))
         g = construct.network_to_code(t)
-        _write_output(codes.emit_generator(g), args.output)
+        text = codes.emit_generator(g)
+    with _output(args.output) as f:
+        f.write(text)
     return 0
 
 
@@ -152,7 +171,7 @@ def _cmd_optimize(args) -> int:
             if getattr(args, name) is not None:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} applies only to --method greedy")
-        report = optimize.brute_force_search(args.d, args.m)
+        search = functools.partial(optimize.brute_force_search, args.d, args.m)
     else:
         if args.start:
             start = topology.parse_hopset(_read(args.start))
@@ -172,9 +191,14 @@ def _cmd_optimize(args) -> int:
             basis = [1 << i for i in range(args.d)]
             start = topology.build(args.d, basis + list(itertools.islice(extras, args.m - args.d)))
         given = {name: getattr(args, name) for name in ("swap_width", "max_rounds")}
-        report = optimize.greedy_improve(   # unset flags keep greedy_improve's defaults
-            start, **{name: value for name, value in given.items() if value is not None}
+        search = functools.partial(   # unset flags keep greedy_improve's defaults
+            optimize.greedy_improve, start,
+            **{name: value for name, value in given.items() if value is not None}
         )
+    with _output(args.output) as f:   # the hop set goes to -o alone, the report to stdout
+        report = search()
+        if args.output:
+            f.write(topology.emit_hopset(report.best))
     hops_text = ",".join(gf2.word_to_text(h, report.best.d) for h in report.best.hops)
     lines = [
         f"method: {report.method}",
@@ -186,8 +210,6 @@ def _cmd_optimize(args) -> int:
         f"hops: {hops_text}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    if args.output:
-        _write_output(topology.emit_hopset(report.best), args.output)
     return 0
 
 
@@ -202,38 +224,40 @@ def _cmd_routes(args) -> int:
     if src == dst:
         raise ValueError("source equals destination")
     yrel = src ^ dst
-    if args.diversity is not None:
-        paths = routing.disjoint_paths(t, yrel, args.diversity)
-        kind = "disjoint"
-    else:
-        paths = routing.shortest_paths(t, yrel)
-        kind = "shortest"
-    lines = [
-        f"yrel: {gf2.word_to_text(yrel, t.d)}",
-        f"kind: {kind}",
-        f"count: {len(paths)}",
-    ]
-    lines += [",".join(str(p) for p in path) for path in paths]
-    _write_output("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as f:
+        if args.diversity is not None:
+            paths = routing.disjoint_paths(t, yrel, args.diversity)
+            kind = "disjoint"
+        else:
+            paths = routing.shortest_paths(t, yrel)
+            kind = "shortest"
+        lines = [
+            f"yrel: {gf2.word_to_text(yrel, t.d)}",
+            f"kind: {kind}",
+            f"count: {len(paths)}",
+        ]
+        lines += [",".join(str(p) for p in path) for path in paths]
+        f.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_ftable(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
-    table = routing.forwarding_table(t, args.diversity)
-    _write_output(table.csv_blocks(), args.output)
+    with _output(args.output) as f:
+        f.writelines(routing.forwarding_table(t, args.diversity).csv_blocks())
     return 0
 
 
 def _cmd_cluster(args) -> int:
     t, max_d = _load_topology(args.hopfile, args.allow_large)
-    clustering = topology.cluster(t, args.levels, max_d=max_d)
-    # the labels in runs of n nodes: x = lo + y, y < n, has label(lo) XOR label(y)
-    n = min(gf2.TEXT_ROWS, t.N)
-    first = clustering.labels(0, n)
-    labels = ((first ^ clustering.label(lo),) for lo in range(0, t.N, n))
-    rows = gf2.text_rows(t.d, labels, [(0, (1 << args.levels) - 1)])
-    _write_output(itertools.chain(["node,label\n"], rows), args.output)
+    with _output(args.output) as f:
+        clustering = topology.cluster(t, args.levels, max_d=max_d)
+        # the labels in runs of n nodes: x = lo + y, y < n, has label(lo) XOR label(y)
+        n = min(gf2.TEXT_ROWS, t.N)
+        first = clustering.labels(0, n)
+        labels = ((first ^ clustering.label(lo),) for lo in range(0, t.N, n))
+        rows = gf2.text_rows(t.d, labels, [(0, (1 << args.levels) - 1)])
+        f.writelines(itertools.chain(["node,label\n"], rows))
     return 0
 
 
@@ -255,14 +279,37 @@ def _cmd_compare(args) -> int:
         lh = _parse_lh_triple(args.lh)
     else:
         raise ValueError("one of --lh or --lh-code is required")
-    rows = cmp_mod.compare(args.ports, args.radix, lh, ft_levels=args.ft_levels)
     render = {
         "text": cmp_mod.render_text,
         "csv": cmp_mod.render_csv,
         "json": cmp_mod.render_json,
     }[args.format]
-    _write_output(render(rows), args.output)
+    with _output(args.output) as f:
+        f.write(render(cmp_mod.compare(args.ports, args.radix, lh, ft_levels=args.ft_levels)))
     return 0
+
+
+# Above the default cap verify refuses, before any work, a check estimated
+# to take more than _VERIFY_BUDGET_S: _MOVE_S per bitmap word that
+# crossing_links moves (_VERIFY_PARTITIONS * m * N/64) plus _BUTTERFLY_S per
+# butterfly of walsh_chunks' transforms (N * min(d, 16)), as measured at
+# d = 22..24, m = 64 on a 2-vCPU VM (d = 24: 28 s in all).
+_VERIFY_PARTITIONS = 64
+_VERIFY_BUDGET_S = 60
+_MOVE_S = 2.5e-8
+_BUTTERFLY_S = 3e-9
+
+
+def _check_verify_budget(t: topology.CayleyTopology) -> None:
+    moved = _VERIFY_PARTITIONS * t.m * (t.N >> 6)
+    butterflies = t.N * min(t.d, gf2._TABLE_BITS)
+    seconds = moved * _MOVE_S + butterflies * _BUTTERFLY_S
+    if t.d > topology.DEFAULT_MAX_D and seconds > _VERIFY_BUDGET_S:
+        raise ValueError(
+            f"verify at d={t.d}, m={t.m} moves {moved} bitmap words and runs {butterflies}"
+            f" transform butterflies, about {seconds:.0f} s; the budget above"
+            f" d={topology.DEFAULT_MAX_D} is {_VERIFY_BUDGET_S} s"
+        )
 
 
 def _cmd_verify(args) -> int:
@@ -275,6 +322,7 @@ def _cmd_verify(args) -> int:
         return 0
     t, max_d = _load_topology(args.hopfile, args.allow_large)
     topology.check_cap(t.d, max_d)
+    _check_verify_budget(t)
     agree = True
 
     def oracle() -> Iterator[np.ndarray]:   # one pair of chunks at a time, never N entries
@@ -288,15 +336,16 @@ def _cmd_verify(args) -> int:
     failed |= not agree
 
     rng = random.Random(args.seed)
-    sample = sorted(rng.sample(range(1, t.N), min(64, t.N - 1)))
-    ok_cut = all(
-        links == topology.cut_walsh(t, r) * (t.N // 2)
+    sample = sorted(rng.sample(range(1, t.N), min(_VERIFY_PARTITIONS, t.N - 1)))
+    differ = sum(
+        links != topology.cut_walsh(t, r) * (t.N // 2)
         for r, links in zip(sample, topology.crossing_links(t, sample))
     )
-    out.write(
-        f"cut_correspondence: {'OK' if ok_cut else 'FAIL'} ({len(sample)} partitions checked)\n"
-    )
-    failed |= not ok_cut
+    if differ:
+        out.write(f"cut_correspondence: FAIL ({differ} of {len(sample)} partitions differ)\n")
+    else:
+        out.write(f"cut_correspondence: OK ({len(sample)} partitions checked)\n")
+    failed |= bool(differ)
 
     if t.N <= 20:
         brute = topology.bisection_bruteforce(list(t.edges()), t.N)

@@ -467,20 +467,35 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
     """Yield, for each r in rs, the links of the explicit graph that cross
     the two-colouring x -> parity(r & x): the oracle for cut_walsh(t, r) * N/2.
 
-    Each colouring is a node bitmap moved along every hop; a crossing link
-    differs from its moved colour at both ends, so it is popcounted twice.
+    Each colouring is a node bitmap of W = max(N/64, 1) words moved along
+    every hop; a crossing link differs from its moved colour at both ends,
+    so it is popcounted twice.  The colourings of R partitions at a time,
+    R = _BLOCK_WORDS // W but at least 1 and at most len(rs), lie end to
+    end in one bitmap of R * W words, partition b in words b * W ..
+    b * W + W - 1, and _moves moves them together: a hop's word offset
+    h >> 6 is below W, so word b * W + w moves to b * W + (w ^ (h >> 6)),
+    inside the same partition's words, and the popcounts are summed per
+    partition.  At d = 9 the 64 partitions `verify` samples move in one
+    batch; from d = 18 on R = 1, one colouring at a time.
     """
-    word_idx = _word_idx(t)
-    blocks = _hop_blocks(t, word_idx.size)
-    for r in rs:
+    rs = list(rs)
+    words = max(t.N >> 6, 1)
+    batch = max(min(_BLOCK_WORDS // words, len(rs)), 1)
+    blocks = _hop_blocks(t, batch * words)
+    x = np.arange(min(t.N, 64), dtype=np.uint64)
+    idx = np.arange(batch * words)   # the words of a batch; the first W index one colouring
+    for lo in range(0, len(rs), batch):
+        r = np.array(rs[lo : lo + batch], dtype=np.int64)[:, None]
         # colours of x < 64 (zero above N - 1), flipped in word w by parity((r >> 6) & w)
-        low = np.uint64(sum(((r & x).bit_count() & 1) << x for x in range(min(t.N, 64))))
-        flip = (np.bitwise_count(word_idx & (r >> 6)) & 1).astype(bool)
-        colour = np.where(flip, ~low, low)
-        yield sum(
-            int(np.bitwise_count(colour ^ moved).sum())
-            for moved in _moves(colour, blocks, word_idx)
-        ) // 2
+        low = np.bitwise_or.reduce((np.bitwise_count(r.astype(np.uint64) & x) & 1) << x, axis=1)
+        flip = (np.bitwise_count(idx[:words] & (r >> 6)) & 1).astype(bool)
+        colour = np.where(flip, ~low[:, None], low[:, None]).ravel()
+        counts = np.zeros(r.size, dtype=np.int64)
+        for moved in _moves(colour, blocks, idx[: colour.size]):
+            moved ^= colour
+            popcounts = np.bitwise_count(moved).reshape(-1, r.size, words)   # (hops, R, W)
+            counts += popcounts.sum(axis=(0, 2), dtype=np.int64)
+        yield from (counts // 2).tolist()
 
 
 @dataclass(frozen=True)

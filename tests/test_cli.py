@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import longhop
-from longhop import cli, compare, gf2, routing, topology
+from longhop import cli, compare, gf2, optimize, routing, topology
 from longhop.cli import main
 
 from conftest import DATA
@@ -489,6 +489,36 @@ class TestFtableClusterVerify:
         code, _, err = run(capsys, ["verify"])
         assert code == 1
 
+    def test_verify_over_budget_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
+        def no_work(*args):
+            raise AssertionError("verify started a check")
+
+        for name in ("crossing_links", "walsh_chunks", "cut_chunks"):
+            monkeypatch.setattr(topology, name, no_work)
+        d = 28
+        t = topology.build(d, [1 << i for i in range(d)] + [(1 << d) - 1 - i for i in range(36)])
+        path = tmp_path / "d28.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", str(path), "--allow-large"])
+        # 64 partitions x 64 hops x 2**22 words at 25 ns, 2**28 x 16 butterflies at 3 ns
+        assert (code, out) == (1, "")
+        assert err == ("error: verify at d=28, m=64 moves 17179869184 bitmap words and runs"
+                       " 4294967296 transform butterflies, about 442 s; the budget above"
+                       " d=24 is 60 s\n")
+
+    @pytest.mark.parametrize("d,refused", [(24, False), (25, False), (26, False), (27, True)])
+    def test_verify_budget_applies_above_the_cap(self, d, refused):
+        # the d unit hops: 64 * d * 2**(d - 6) moved words; d = 27 is estimated at 97 s
+        t = topology.build(d, [1 << i for i in range(d)])
+        if refused:
+            with pytest.raises(ValueError, match="the budget above d=24 is 60 s"):
+                cli._check_verify_budget(t)
+        else:
+            cli._check_verify_budget(t)
+        # at the cap and below nothing is refused, whatever the estimate
+        big = topology.build(24, [1 << i for i in range(24)] + list(range(3, 3000, 2)))
+        cli._check_verify_budget(big)
+
 
 class TestCompareCommand:
     ARGS = ["compare", "--ports", "131072", "--radix", "64", "--lh", "13,48,16"]
@@ -570,7 +600,54 @@ class TestUsageErrors:
         code, out, err = run(capsys, argv)
         assert code == 1
         assert err == f"error: cannot write {path}: {reason}\n"
-        assert out.startswith("method: brute\n") if argv[0] == "optimize" else out == ""
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,module,work", [
+        (["cluster", "{hops}", "--levels", "1"], topology, "cluster"),
+        (["ftable", "{hops}", "--diversity", "2"], routing, "forwarding_table"),
+        (["optimize", "-d", "3", "-m", "4"], optimize, "brute_force_search"),
+        (["optimize", "-d", "3", "-m", "4", "--method", "greedy"], optimize, "greedy_improve"),
+    ], ids=["cluster", "ftable", "optimize", "optimize-greedy"])
+    def test_unwritable_output_refused_before_the_work(self, capsys, monkeypatch, folded3_file,
+                                                       tmp_path, argv, module, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output was opened")
+
+        monkeypatch.setattr(module, work, no_work)
+        path = tmp_path / "missing" / "out.csv"
+        argv = [arg.format(hops=folded3_file) for arg in argv] + ["-o", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cluster", "{hops}", "--levels", "4"], "levels must be in 0..3"),
+        (["ftable", "{hops}", "--diversity", "5"], "diversity must be in 1..4"),
+        (["optimize", "-d", "3", "-m", "20"], "brute force budget exceeded"),
+        (["bisect", "{hops}", "--spectrum"], "interrupted"),
+    ], ids=["cluster", "ftable", "optimize", "bisect-midway"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_run_leaves_no_output_file(self, capsys, monkeypatch, folded3_file, tmp_path,
+                                              argv, message, existing):
+        # refused once -o is open, or failing after the spectrum's first rows
+        # are written: the scan's chunks are read twice, for b and for the rows
+        cut_chunks, calls = topology.cut_chunks, []
+
+        def interrupted(t):
+            calls.append(t)
+            yield from cut_chunks(t)
+            if len(calls) == 2:
+                raise ValueError("interrupted")
+
+        monkeypatch.setattr(topology, "cut_chunks", interrupted)
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("an earlier run\n", encoding="utf-8")
+        argv = [arg.format(hops=folded3_file) for arg in argv] + ["-o", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert not path.exists()
 
     def test_unknown_flag(self, capsys, folded3_file):
         code, _, err = run(capsys, ["bisect", folded3_file, "--bogus"])

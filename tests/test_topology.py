@@ -227,6 +227,24 @@ class TestCutWalsh:
             assert counts == [cut_walsh(t, r) * (t.N // 2) for r in range(t.N)]
             assert list(crossing_links(t, range(t.N))) == counts
 
+    @pytest.mark.parametrize("block_words", [2, 8])
+    @given(t=spanning_hopsets(max_d=8), data=st.data())
+    def test_crossing_links_across_batches(self, block_words, t, data):
+        # with _BLOCK_WORDS of 2 or 8 words, batches of 8 down to 1
+        # partitions split the list, and the last one is often partial
+        rs = data.draw(st.lists(st.integers(0, t.N - 1), max_size=70))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_BLOCK_WORDS", block_words)
+            links = list(crossing_links(t, rs))
+        assert links == [cut_walsh(t, r) * (t.N // 2) for r in rs]
+
+    def test_crossing_links_multi_word_batch(self):
+        # d = 12: 64 words a colouring, so batches of 64 partitions, then 36
+        t = random_topology(random.Random(12), 12, 40)
+        rs = random.Random(1).sample(range(t.N), 100)
+        assert topology._BLOCK_WORDS // (t.N >> 6) == 64
+        assert list(crossing_links(t, rs)) == [cut_walsh(t, r) * (t.N // 2) for r in rs]
+
 
 class TestBisection:
     def test_folded_cube(self, folded3):
@@ -427,9 +445,20 @@ class TestVerifyCutCheck:
         t = random_topology(random.Random(d), d, d + 3)
         monkeypatch.setattr(topology, "cut_walsh", lambda t, r: cut_walsh(t, r) + 1)
         code, out = verify_output(t, tmp_path)
+        sampled = min(64, t.N - 1)
         assert code == 1
-        assert "cut_correspondence: FAIL" in out
+        assert f"cut_correspondence: FAIL ({sampled} of {sampled} partitions differ)\n" in out
         assert "scan_vs_fwht: OK" in out
+
+    def test_counts_every_differing_partition(self, tmp_path, monkeypatch):
+        # only the odd partitions are off: every one of them is counted
+        t = random_topology(random.Random(9), 9, 12)
+        odd = sum(r & 1 for r in random.Random(1).sample(range(1, t.N), 64))
+        monkeypatch.setattr(topology, "cut_walsh", lambda t, r: cut_walsh(t, r) + (r & 1))
+        code, out = verify_output(t, tmp_path)
+        assert 0 < odd < 64
+        assert code == 1
+        assert f"cut_correspondence: FAIL ({odd} of 64 partitions differ)\n" in out
 
 
 class TestBruteforce:
