@@ -120,17 +120,23 @@ def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
     if args.spectrum:   # the `r cut alpha` table, from one pass over chunks(t)
         lines.append("r cut alpha")
         rows = gf2.text_rows(
-            t.d, ((cut, t.m - 2 * cut) for cut in chunks(t)), [(0, t.m), (-t.m, t.m)], sep=" ")
+            t.d, ((cut, _alphas(t, cut)) for cut in chunks(t)), [(0, t.m), (-t.m, t.m)], sep=" ")
     else:
         rows = ()
     yield from itertools.chain(["\n".join(lines) + "\n"], rows)
+
+
+def _alphas(t: topology.CayleyTopology, cuts: np.ndarray) -> np.ndarray:
+    """The eigenvalues m - 2 * cut, widened first: cut_chunks' chunks are
+    unsigned and as narrow as m allows, so they would wrap."""
+    return t.m - 2 * cuts.astype(np.int64, copy=False)
 
 
 def _render_json_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
     """Yield the "cuts" and "alphas" members laid out as json.dumps(...,
     indent=2) lays out the last members of an object, one string per chunk,
     from one pass over chunks(t) per member."""
-    for key, column in (("cuts", lambda c: c), ("alphas", lambda c: t.m - 2 * c)):
+    for key, column in (("cuts", lambda c: c), ("alphas", lambda c: _alphas(t, c))):
         sep = f',\n  "{key}": [\n    '
         for block in chunks(t):
             yield sep + ",\n    ".join(map(str, column(block).tolist()))
@@ -327,9 +333,12 @@ def _cmd_verify(args) -> int:
 
     def oracle() -> Iterator[np.ndarray]:   # one pair of chunks at a time, never N entries
         nonlocal agree
-        for scan, walsh in zip(topology.cut_chunks(t), topology.walsh_chunks(t)):
-            agree &= np.array_equal(scan, walsh)
-            yield walsh
+        # a stream that ends before the other pairs None with a chunk: they disagree
+        pairs = itertools.zip_longest(topology.cut_chunks(t), topology.walsh_chunks(t))
+        for scan, walsh in pairs:
+            agree &= scan is not None and walsh is not None and np.array_equal(scan, walsh)
+            if walsh is not None:
+                yield walsh
 
     fwht = topology.reduce_cuts(oracle())
     out.write(f"scan_vs_fwht: {'OK' if agree else 'FAIL'} (b={fwht.b}, B={fwht.links} links)\n")

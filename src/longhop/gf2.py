@@ -54,16 +54,30 @@ def fwht(values: Sequence[int] | np.ndarray) -> np.ndarray:
     return a
 
 
-def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
-    """Yield weight(r.G) for r = 0 .. 2**k - 1 ascending, in int64 chunks of
-    2**min(k, _TABLE_BITS) entries; G is the k x n bit matrix with the given
-    rows, and r.G is the XOR of the rows selected by the set bits of r.
+def _span_table(lanes: np.ndarray) -> np.ndarray:
+    """The (width, 2**c) uint64 table of the XORs of the c columns of
+    `lanes`: column j is the XOR of the columns selected by the set bits of
+    j, built by XOR doubling."""
+    table = np.zeros((lanes.shape[0], 1 << lanes.shape[1]), dtype=np.uint64)
+    for i in range(lanes.shape[1]):   # entry j + 2**i is entry j XOR column i
+        np.bitwise_xor(table[:, : 1 << i], lanes[:, i : i + 1], out=table[:, 1 << i : 2 << i])
+    return table
 
-    Rows are split into ceil(n/64) uint64 lanes.  A table of the codewords
-    of the low min(k, _TABLE_BITS) bits of r, built by XOR doubling, is
-    XORed with the codeword of each high part of r and popcounted into that
-    part's chunk, lane counts summed, so the work is O(2**k * ceil(n/64))
-    64-bit words and the memory is O(2**_TABLE_BITS * ceil(n/64)).
+
+def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
+    """Yield weight(r.G) for r = 0 .. 2**k - 1 ascending, in chunks of
+    2**min(k, _TABLE_BITS) entries of dtype np.min_scalar_type(n + 1):
+    uint8 up to n = 254, uint16 above, so n + 1 fits too.  G is the k x n
+    bit matrix with the given rows, and r.G is the XOR of the rows selected
+    by the set bits of r.
+
+    Rows are split into ceil(n/64) uint64 lanes.  The codewords of the low
+    min(k, _TABLE_BITS) bits of r and those of the high bits are tabulated
+    once each (_span_table); per high part, the low table is XORed with its
+    codeword and popcounted straight into the chunk, lane counts summed in
+    the chunk's dtype (exact: a weight is at most n).  The work is
+    O(2**k * ceil(n/64)) 64-bit words and the memory
+    O(2**max(_TABLE_BITS, k - _TABLE_BITS) * ceil(n/64)).
     """
     k, width = len(rows), max(-(-n // 64), 1)   # n = 0 still gets one all-zero lane
     lanes = np.array(
@@ -71,18 +85,15 @@ def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
         dtype=np.uint64,
     ).reshape(width, k)
     low = min(k, _TABLE_BITS)
-    table = np.zeros((width, 1 << low), dtype=np.uint64)
-    for i in range(low):   # codeword of j + 2**i is that of j XOR row i
-        np.bitwise_xor(table[:, : 1 << i], lanes[:, i : i + 1], out=table[:, 1 << i : 2 << i])
-    high = lanes[:, low:]
+    table, high = _span_table(lanes[:, :low]), _span_table(lanes[:, low:])
+    dtype = np.min_scalar_type(n + 1)
     buf = np.empty(1 << low, dtype=np.uint64)
-    count = np.empty(1 << low, dtype=np.uint8)
-    for u in range(1 << (k - low)):
-        cu = np.bitwise_xor.reduce(high[:, [i for i in range(k - low) if u >> i & 1]], axis=1)
-        chunk = np.empty(1 << low, dtype=np.int64)
-        np.bitwise_count(np.bitwise_xor(table[0], cu[0], out=buf), out=chunk)
+    count = np.empty(1 << low, dtype=dtype)
+    for u in range(high.shape[1]):
+        chunk = np.empty(1 << low, dtype=dtype)
+        np.bitwise_count(np.bitwise_xor(table[0], high[0, u], out=buf), out=chunk)
         for lane in range(1, width):
-            chunk += np.bitwise_count(np.bitwise_xor(table[lane], cu[lane], out=buf), out=count)
+            chunk += np.bitwise_count(np.bitwise_xor(table[lane], high[lane, u], out=buf), out=count)
         yield chunk
 
 

@@ -16,13 +16,15 @@ the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
 node x on side parity(r & x).  Bisection in links is b * N/2.  C_r is the
 Hamming weight of the codeword r.G of the hop matrix G, so b is the
 code's minimum distance.  cut_chunks streams those weights from
-gf2.codeword_weights in chunks of 2**min(d, 16) entries; reduce_cuts
-folds any such stream into b, the number of minimizers and the first
-MAX_LISTED_ARGMIN of them, so bisection_scan holds no N-entry array
-(the whole `bisect` command peaks at 32 MiB RSS at any d); cluster
-reduces the chunks too and returns only its splits, a Clustering whose
-labels are read out block by block.  walsh_chunks yields the same
-chunks off Walsh-Hadamard transforms, the independent oracle;
+gf2.codeword_weights in chunks of 2**min(d, 16) entries, uint8 while
+m <= 254; reduce_cuts folds any such stream into b, the number of
+minimizers and the first MAX_LISTED_ARGMIN of them, so bisection_scan
+holds no N-entry array (the whole `bisect` command peaks at 32 MiB RSS
+at any d); cluster reduces the chunks too and returns only its splits, a
+Clustering whose labels are read out block by block; both reduce the
+narrow chunks as they come, without widening them.  walsh_chunks yields
+the same cuts in int64 chunks off Walsh-Hadamard transforms, the
+independent oracle;
 bisection_fwht places them in one N-entry array for the greedy search.
 """
 from __future__ import annotations
@@ -178,8 +180,10 @@ def check_cap(d: int, max_d: int) -> None:
 
 
 def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
-    """Yield the Walsh cuts of r = 0 .. N-1 ascending, in int64 chunks of
-    2**min(d, gf2._TABLE_BITS) entries.
+    """Yield the Walsh cuts of r = 0 .. N-1 ascending, in chunks of
+    2**min(d, gf2._TABLE_BITS) entries of dtype np.min_scalar_type(m + 1)
+    (uint8 up to m = 254): arithmetic that can leave 0..m, such as the
+    eigenvalues m - 2 * cut, must widen them first.
 
     The cut of partition r is the Hamming weight of the codeword r.G of the
     hop matrix G (column s is hop s, row i holds bit i of every hop), which
@@ -190,9 +194,9 @@ def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
 
 
 def walsh_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
-    """Yield the same int64 chunks as cut_chunks, read off Walsh-Hadamard
-    transforms: O(N * min(d, gf2._TABLE_BITS)) work, about 0.7 s at d = 24,
-    m = 64 on a 2-vCPU VM.
+    """Yield the cuts cut_chunks yields, in the same chunk layout but as
+    int64, read off Walsh-Hadamard transforms: O(N * min(d,
+    gf2._TABLE_BITS)) work, about 0.6 s at d = 24, m = 64 on a 2-vCPU VM.
 
     With L = min(d, gf2._TABLE_BITS) and r = u * 2**L + v, the adjacency
     eigenvalue alpha_r = sum_s (-1)**parity(r & h_s) is the length-2**L
@@ -236,8 +240,9 @@ def reduce_cuts(chunks: Iterable[np.ndarray]) -> Bisection:
 
 
 def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Bisection:
-    """Exact bisection reduced from cut_chunks, chunk by chunk: about 0.04 s
-    at d = 24, m = 64 on a 2-vCPU VM, and O(2**16) memory at any d."""
+    """Exact bisection reduced from cut_chunks, chunk by chunk: about 0.015 s
+    at d = 24, 0.2 s at d = 28 and 5 s at d = 32, m = 64, on a 2-vCPU VM,
+    and O(2**16) memory at any d."""
     check_cap(t.d, max_d)
     return reduce_cuts(cut_chunks(t))
 
@@ -550,11 +555,12 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> Cl
     check_cap(t.d, max_d)
     used: list[int] = []
     span = np.zeros(1, dtype=np.int64)
-    sentinel = t.m + 1   # above every cut
     for _ in range(levels):
         intra = [
             h for h in t.hops if all(((h & u).bit_count() & 1) == 0 for u in used)
         ]
+        # above every cut, and within the chunks' dtype, which holds len(intra) + 1
+        sentinel = len(intra) + 1
         best, r_star, lo = sentinel, 0, 0
         for cross in gf2.codeword_weights(gf2.transpose(intra, t.d), len(intra)):
             hi = lo + cross.size

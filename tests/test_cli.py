@@ -16,7 +16,7 @@ import longhop
 from longhop import cli, compare, gf2, optimize, routing, topology
 from longhop.cli import main
 
-from conftest import DATA
+from conftest import DATA, random_topology
 
 
 @pytest.fixture()
@@ -363,6 +363,27 @@ class TestFtableClusterVerify:
             assert run(capsys, argv) == (0, "", ""), (d, m)
             assert out_file.read_text(encoding="ascii") == out, (d, m)
 
+    @pytest.mark.parametrize("method", ["scan", "fwht"])
+    @pytest.mark.parametrize("m", [254, 300])
+    def test_spectrum_negative_alphas(self, capsys, tmp_path, m, method):
+        # cuts of 128 and more and alphas below 0, from uint8 (m = 254) and
+        # uint16 (m = 300) engine chunks, in text and in JSON
+        t = random_topology(random.Random(8), 9, m)
+        path = tmp_path / "h.hops"
+        path.write_text(topology.emit_hopset(t), encoding="utf-8")
+        cuts = [topology.cut_walsh(t, r) for r in range(t.N)]
+        alphas = [m - 2 * cut for cut in cuts]
+        assert max(cuts) >= 128 and min(alphas) < 0
+        argv = ["bisect", str(path), "--method", method, "--spectrum"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.split("r cut alpha\n")[1].splitlines() == [
+            f"{r:09b} {cut} {alpha}" for r, (cut, alpha) in enumerate(zip(cuts, alphas))]
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["cuts"], payload["alphas"]) == (cuts, alphas)
+
     def test_spectrum_file_streams_render_blocks(self, tmp_path):
         # the engine's chunks of 2**_TABLE_BITS words, the cut and alpha
         # chunks being rendered and a few row tables; never the whole table
@@ -477,6 +498,17 @@ class TestFtableClusterVerify:
         code, out, _ = run(capsys, ["verify", folded3_file])
         assert code == 1
         assert "cut_correspondence: FAIL" in out
+
+    @pytest.mark.parametrize("short", ["cut_chunks", "walsh_chunks"])
+    def test_verify_fails_on_a_missing_chunk(self, capsys, folded3_file, monkeypatch, short):
+        # the chunks both streams yield agree, but one stream ends a chunk early
+        monkeypatch.setattr(gf2, "_TABLE_BITS", 1)   # 4 chunks of 2 entries
+        chunks = getattr(topology, short)
+        monkeypatch.setattr(topology, short, lambda t: list(chunks(t))[:-1])
+        code, out, _ = run(capsys, ["verify", folded3_file])
+        assert code == 1
+        assert "scan_vs_fwht: FAIL" in out
+        assert "cut_correspondence: OK" in out
 
     def test_verify_edge_list(self, capsys, tmp_path):
         edges = tmp_path / "k4.edges"

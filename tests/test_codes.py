@@ -105,6 +105,20 @@ class TestMinDistance:
         g = GeneratorMatrix(k=k, n=2 * k, rows=tuple((1 << i) | (1 << (k + i)) for i in range(k)))
         assert codes.min_distance(g) == 2
 
+    @pytest.mark.parametrize("table_bits", [3, 16])
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_wide_codes(self, monkeypatch, table_bits, n):
+        # n >= 255 makes the engine's chunks uint16
+        monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+        g = random_full_rank_generator(random.Random(n), 8, n)
+        assert codes.min_distance(g) == oracle_min_distance(g)
+
+    def test_distance_above_uint8(self):
+        # two disjoint blocks of 300 ones: weights 300, 300 and 600
+        block = (1 << 300) - 1
+        g = GeneratorMatrix(k=2, n=600, rows=(block, block << 300))
+        assert codes.min_distance(g) == 300
+
     @pytest.mark.parametrize("k,n", [(4, 9), (6, 14), (8, 17), (10, 20)])
     def test_equals_min_pairwise_distance(self, k, n):
         rng = random.Random(100 * k + n)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -133,7 +135,7 @@ class TestCodewordWeights:
     def test_matches_xor_of_rows(self, case):
         rows, n = case
         chunks = list(gf2.codeword_weights(rows, n))
-        assert {c.dtype for c in chunks} == {np.dtype(np.int64)}
+        assert {c.dtype for c in chunks} == {np.dtype(np.uint8)}   # n <= 254
         assert {c.size for c in chunks} == {1 << len(rows)}   # k <= 10: one chunk
         assert np.concatenate(chunks).tolist() == xor_weights(rows)
 
@@ -147,6 +149,20 @@ class TestCodewordWeights:
             chunks = list(gf2.codeword_weights(rows, n))
         assert {c.size for c in chunks} == {1 << min(len(rows), table_bits)}
         assert np.concatenate(chunks).tolist() == xor_weights(rows)
+
+    @pytest.mark.parametrize("n,dtype", [
+        (254, np.uint8), (255, np.uint16), (256, np.uint16), (300, np.uint16)])
+    @pytest.mark.parametrize("table_bits", [3, 16])
+    def test_wide_rows(self, monkeypatch, n, dtype, table_bits):
+        # chunks hold n + 1: uint8 up to n = 254, then uint16; an all-ones
+        # row puts weight n itself in the first chunk
+        monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+        rng = random.Random(n)
+        rows = [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
+        chunks = list(gf2.codeword_weights(rows, n))
+        assert {c.dtype for c in chunks} == {np.dtype(dtype)}
+        assert np.concatenate(chunks).tolist() == xor_weights(rows)
+        assert int(chunks[0].max()) == n
 
     def test_k21_full_table(self):
         # rows 1, 2, 4, ... of 21 bits: weight(r.G) = weight(r), in 32 chunks of 2**16

@@ -287,7 +287,7 @@ class TestBisection:
         fwht = bisection_fwht(t)
         cuts = engine_cuts(t)
         assert (cuts == fwht.cuts).all()
-        assert (t.m - 2 * cuts == fwht.alphas).all()
+        assert (t.m - 2 * cuts.astype(np.int64) == fwht.alphas).all()   # uint8 would wrap
         assert reduced(bisection_scan(t)) == listed_bisection(fwht.cuts.tolist())
 
     @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
@@ -300,14 +300,14 @@ class TestBisection:
             reduced_scan = bisection_scan(t)
         fwht = bisection_fwht(t)
         assert (fwht.cuts == scan).all()
-        assert (fwht.alphas == t.m - 2 * scan).all()
+        assert (fwht.alphas == t.m - 2 * scan.astype(np.int64)).all()
         assert reduced(reduced_scan) == listed_bisection(fwht.cuts.tolist())
 
     @settings(max_examples=60)
     @given(wide_hopsets())
     def test_scan_matches_scalar_cuts(self, t):
         cuts = engine_cuts(t)
-        assert cuts.dtype == np.int64
+        assert cuts.dtype == np.uint8   # m <= 254
         assert cuts.tolist() == scalar_cuts(t)
         assert reduced(bisection_scan(t)) == listed_bisection(scalar_cuts(t))
 
@@ -629,6 +629,16 @@ class TestCluster:
             mp.setattr(gf2, "_TABLE_BITS", table_bits)
             labels = cluster(t, levels).labels()
         assert labels.tolist() == oracle_cluster(t, levels).tolist()
+
+    @pytest.mark.parametrize("levels,splits", [(1, (176,)), (2, (176, 8)), (3, (176, 8, 83))])
+    def test_many_hops(self, levels, splits):
+        # 300 hops make uint16 chunks, but the fewer hops inside the cells
+        # of later levels make uint8 ones, which must hold the sentinel that
+        # masks the earlier splits; the splits are those int64 chunks gave
+        t = random_topology(random.Random(9), 9, 300)
+        clustering = cluster(t, levels)
+        assert clustering.splits == splits
+        assert clustering.labels().tolist() == oracle_cluster(t, levels).tolist()
 
     @given(st.data())
     def test_blocks_are_slices_of_all_labels(self, data):
