@@ -39,8 +39,8 @@ def main() -> int:
     assert delta == 16, f"expected minimum distance 16, got {delta}"
     t = construct.code_to_network(g)
     assert (t.d, t.m) == (13, 48)
-    spectrum = topology.bisection_fwht(t)
-    assert spectrum.b == delta, (spectrum.b, delta)
+    bisection = topology.bisection_scan(t)
+    assert bisection.b == delta, (bisection.b, delta)
     summary = topology.distances(t)
     header = (
         "# [48,13,16] binary code: extended-Golay (u|u+v) construction\n"
@@ -53,7 +53,7 @@ def main() -> int:
     out.write_text(header + codes.emit_generator(g), encoding="utf-8")
     print(f"wrote {out}")
     print(f"min_distance: {delta}")
-    print(f"bisection b:  {spectrum.b}  ({spectrum.links} links)")
+    print(f"bisection b:  {bisection.b}  ({bisection.links} links)")
     print(f"diameter:     {summary.diameter}")
     print(f"mean hops:    {summary.mean:.6f}")
     print(f"histogram:    {summary.histogram}")

@@ -24,7 +24,6 @@ from .topology import (
     Bisection,
     CayleyTopology,
     Clustering,
-    SpectrumResult,
     bisection_bruteforce,
     bisection_fwht,
     bisection_scan,

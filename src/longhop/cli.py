@@ -22,14 +22,11 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from . import codes, compare as cmp_mod, construct, gf2, optimize, routing, topology
-
-# a source of the Walsh cuts in ascending chunks: topology.cut_chunks or walsh_chunks
-_Chunks = Callable[[topology.CayleyTopology], Iterable[np.ndarray]]
 
 
 class _UsageError(Exception):
@@ -86,13 +83,7 @@ def _cmd_bisect(args) -> int:
 
 
 def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
-    if args.method == "fwht":
-        topology.check_cap(t.d, max_d)
-        chunks = topology.walsh_chunks
-        result = topology.reduce_cuts(chunks(t))
-    else:
-        chunks = topology.cut_chunks
-        result = topology.bisection_scan(t, max_d=max_d)
+    result = topology.bisection_scan(t, max_d=max_d)
     shown = [gf2.word_to_text(r, t.d) for r in result.argmin_rs]
     extra = result.argmin_count - len(shown)
     if args.format == "json":
@@ -106,7 +97,7 @@ def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
             "argmin_count": result.argmin_count,
         }
         head = json.dumps(payload, indent=2)[: -len("\n}")]
-        rows = _render_json_spectrum(chunks, t) if args.spectrum else ()
+        rows = _render_json_spectrum(t) if args.spectrum else ()
         yield from itertools.chain([head], rows, ["\n}\n"])
         return
     lines = [
@@ -117,10 +108,10 @@ def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
         f"B_links: {result.links}",
         "argmin_r: " + ",".join(shown) + (f" (+{extra} more)" if extra > 0 else ""),
     ]
-    if args.spectrum:   # the `r cut alpha` table, from one pass over chunks(t)
+    if args.spectrum:   # the `r cut alpha` table, from one pass over the cuts
         lines.append("r cut alpha")
-        rows = gf2.text_rows(
-            t.d, ((cut, _alphas(t, cut)) for cut in chunks(t)), [(0, t.m), (-t.m, t.m)], sep=" ")
+        rows = gf2.text_rows(t.d, ((cut, _alphas(t, cut)) for cut in topology.cut_chunks(t)),
+                             [(0, t.m), (-t.m, t.m)], sep=" ")
     else:
         rows = ()
     yield from itertools.chain(["\n".join(lines) + "\n"], rows)
@@ -132,13 +123,13 @@ def _alphas(t: topology.CayleyTopology, cuts: np.ndarray) -> np.ndarray:
     return t.m - 2 * cuts.astype(np.int64, copy=False)
 
 
-def _render_json_spectrum(chunks: _Chunks, t: topology.CayleyTopology) -> Iterator[str]:
+def _render_json_spectrum(t: topology.CayleyTopology) -> Iterator[str]:
     """Yield the "cuts" and "alphas" members laid out as json.dumps(...,
     indent=2) lays out the last members of an object, one string per chunk,
-    from one pass over chunks(t) per member."""
+    from one pass over topology.cut_chunks(t) per member."""
     for key, column in (("cuts", lambda c: c), ("alphas", lambda c: _alphas(t, c))):
         sep = f',\n  "{key}": [\n    '
-        for block in chunks(t):
+        for block in topology.cut_chunks(t):
             yield sep + ",\n    ".join(map(str, column(block).tolist()))
             sep = ",\n    "
         yield "\n  ]"
@@ -172,6 +163,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if not 1 <= args.d <= topology.HARD_MAX_D:   # before either method builds a word
+        raise ValueError(f"dimension must be in 1..{topology.HARD_MAX_D}, got {args.d}")
     if args.method == "brute":
         for name in ("start", "swap_width", "max_rounds"):
             if getattr(args, name) is not None:
@@ -380,7 +373,8 @@ def _output_args(p: _Parser) -> None:
 
 def _bisect_args(p: _Parser) -> None:
     p.add_argument("hopfile")
-    p.add_argument("--method", choices=["fwht", "scan"], default="scan")
+    # scan is the one method; the flag stays so that `--method scan` keeps working
+    p.add_argument("--method", choices=["scan"], default="scan")
     p.add_argument("--spectrum", action="store_true", help="print all cuts and eigenvalues")
     p.add_argument("--format", choices=["text", "json"], default="text")
     _allow_large_args(p)
@@ -502,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify" and not args.hopfile and not args.edge_list:
             raise ValueError("verify needs a hop-set file or --edge-list")
+        if args.command == "verify" and args.hopfile and args.edge_list:
+            raise ValueError("verify takes a hop-set file or --edge-list, not both")
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .topology import CayleyTopology, bisection_fwht
+from .topology import CayleyTopology, bisection_fwht, bisection_scan
 
 __all__ = ["SearchReport", "brute_force_search", "greedy_improve"]
 
@@ -55,7 +55,7 @@ def brute_force_search(d: int, m: int) -> SearchReport:
     evaluated = 0
     for extras in itertools.combinations(pool, m - d):
         t = CayleyTopology(d=d, hops=basis + extras)
-        b = bisection_fwht(t).b
+        b = bisection_scan(t).b
         evaluated += 1
         if b > best_b:
             best_b = b
@@ -80,8 +80,9 @@ def greedy_improve(
     start: the work the search did, so a hop set that a later round meets
     again counts again.
 
-    Candidates are scored from the Walsh spectrum, a whole batch at a time.
-    Removing hops (and, at width 2, adding the first word w1) leaves cuts c'
+    Candidates are scored a whole batch at a time from the current hop set's
+    N-entry cuts array, which bisection_fwht gives.  Removing hops (and, at
+    width 2, adding the first word w1) leaves cuts c'
     with minimum b0 over r > 0, reached on the set M.  Adding a word w then
     gives b = b0 + [parity(r & w) = 1 for every r in M], which is b0 + 1
     exactly where FWHT(1_M)[w] = -|M|.  So a width-1 neighbourhood costs at
@@ -94,8 +95,8 @@ def greedy_improve(
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     best = start
-    spectrum = bisection_fwht(best)  # refuses d above the spectrum cap
-    b = spectrum.b
+    cuts = bisection_fwht(best)  # refuses d above the spectrum cap
+    b = int(cuts[1:].min())
     d = start.d
     rs = np.arange(1 << d, dtype=np.uint32)
 
@@ -119,9 +120,9 @@ def greedy_improve(
         accepted = None
         for pos_combo in itertools.combinations(positions, swap_width):
             removed = [current[p] for p in pos_combo]
-            cuts = spectrum.cuts - sum(parity(h) for h in removed)
+            left = cuts - sum(parity(h) for h in removed)
             for first, ys in batches:
-                batch_cuts = cuts + parity(first[0]) if first else cuts
+                batch_cuts = left + parity(first[0]) if first else left
                 scores = _batch_scores(batch_cuts, ys, b)
                 better = np.flatnonzero(scores > b)
                 stop = int(better[0]) + 1 if better.size else ys.size
@@ -138,7 +139,7 @@ def greedy_improve(
         for p, w in zip(*accepted):
             hops[p] = w
         best = CayleyTopology(d=d, hops=tuple(hops))
-        spectrum = bisection_fwht(best)
+        cuts = bisection_fwht(best)
         rounds += 1
     return SearchReport(
         best=best,

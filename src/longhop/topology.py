@@ -23,9 +23,10 @@ holds no N-entry array (the whole `bisect` command peaks at 32 MiB RSS
 at any d); cluster reduces the chunks too and returns only its splits, a
 Clustering whose labels are read out block by block; both reduce the
 narrow chunks as they come, without widening them.  walsh_chunks yields
-the same cuts in int64 chunks off Walsh-Hadamard transforms, the
-independent oracle;
-bisection_fwht places them in one N-entry array for the greedy search.
+the same cuts in int64 chunks off Walsh-Hadamard transforms: the
+independent oracle that verify and the tests check the engine against.
+bisection_fwht places them in one N-entry int64 array, from which the
+greedy search scores its candidates.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from . import gf2
 __all__ = [
     "CayleyTopology",
     "Bisection",
-    "SpectrumResult",
     "DistanceSummary",
     "Clustering",
     "build",
@@ -134,34 +134,6 @@ class Bisection:
         return self.b * (self.N // 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    """Full cut spectrum of a topology with m hops.
-
-    cuts[r] is the cut of the Walsh partition r in units of N/2, the one
-    N-entry array held; b = min over r > 0 of cuts[r].  alphas derives the
-    adjacency eigenvalues.
-    """
-
-    cuts: np.ndarray
-    m: int
-    b: int
-
-    @property
-    def N(self) -> int:
-        return int(self.cuts.size)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        """Adjacency eigenvalues m - 2*cuts[r], built anew on each access."""
-        return self.m - 2 * self.cuts
-
-    @property
-    def links(self) -> int:
-        """Bisection in links: b * N/2."""
-        return self.b * (self.N // 2)
-
-
 def cut_walsh(t: CayleyTopology, r: int) -> int:
     """Cut of the Walsh partition r, in units of N/2."""
     if not 0 <= r < t.N:
@@ -247,11 +219,12 @@ def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Bisectio
     return reduce_cuts(cut_chunks(t))
 
 
-def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> SpectrumResult:
-    """Full cut spectrum from walsh_chunks, placed in one N-entry array.
+def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> np.ndarray:
+    """The cuts of r = 0 .. N-1 from walsh_chunks, placed in one N-entry
+    int64 array; b is its minimum over r > 0.
 
-    Kept as the independent oracle of the popcount engine (cut_chunks) and
-    for the greedy search, which scores candidates from the whole spectrum.
+    The Walsh-Hadamard oracle of the popcount engine (cut_chunks), and the
+    whole spectrum the greedy search scores its candidates from.
     """
     check_cap(t.d, max_d)
     cuts = np.empty(t.N, dtype=np.int64)
@@ -259,7 +232,7 @@ def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Spectrum
     for chunk in walsh_chunks(t):
         cuts[lo : lo + chunk.size] = chunk
         lo += chunk.size
-    return SpectrumResult(cuts=cuts, m=t.m, b=int(cuts[1:].min()))
+    return cuts
 
 
 def bisection_bruteforce(edges: Sequence[tuple[int, int]], n: int) -> int:

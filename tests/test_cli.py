@@ -69,13 +69,35 @@ class TestBisect:
         code, out, _ = run(capsys, ["bisect", folded3_file, "--method", "scan"])
         assert code == 0 and "b: 2" in out
 
-    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--spectrum"]])
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--spectrum"],
+                                       ["--format", "json", "--spectrum"]])
     def test_default_scan_matches_fwht(self, capsys, tmp_path, flags):
+        # the whole output, against one built from the Walsh-Hadamard oracle
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21, 42])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
-        assert run(capsys, ["bisect", str(path), *flags]) == run(
-            capsys, ["bisect", str(path), "--method", "fwht", *flags])
+        cuts = topology.bisection_fwht(t).tolist()
+        alphas = [t.m - 2 * cut for cut in cuts]
+        b = min(cuts[1:])
+        argmin = [gf2.word_to_text(r, 6) for r in range(1, 64) if cuts[r] == b]
+        if "json" in flags:
+            payload = {"d": 6, "m": t.m, "N": 64, "b": b, "B_links": b * 32,
+                       "argmin_r": argmin, "argmin_count": len(argmin)}
+            if "--spectrum" in flags:
+                payload.update(cuts=cuts, alphas=alphas)
+            expected = json.dumps(payload, indent=2) + "\n"
+        else:
+            expected = (f"d: 6\nm: {t.m}\nN: 64\nb: {b}\nB_links: {b * 32}\n"
+                        f"argmin_r: {','.join(argmin)}\n")
+            if "--spectrum" in flags:
+                expected += "r cut alpha\n" + "".join(
+                    f"{r:06b} {cut} {alpha}\n" for r, (cut, alpha) in enumerate(zip(cuts, alphas)))
+        assert run(capsys, ["bisect", str(path), *flags]) == (0, expected, "")
+
+    def test_fwht_method_refused(self, capsys, folded3_file):
+        code, out, err = run(capsys, ["bisect", folded3_file, "--method", "fwht"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --method: invalid choice: 'fwht'")
 
     def test_default_method_is_scan(self, capsys, folded3_file, monkeypatch):
         def oracle_only(t, **kwargs):
@@ -191,6 +213,13 @@ class TestOptimize:
         assert code == 1 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("method", ["brute", "greedy"])
+    @pytest.mark.parametrize("d", ["-1", "0", "33"])
+    def test_dimension_out_of_range_refused(self, capsys, method, d):
+        code, out, err = run(capsys, ["optimize", "-d", d, "-m", "1", "--method", method])
+        assert (code, out) == (1, "")
+        assert err == f"error: dimension must be in 1..32, got {d}\n"
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, ["optimize", "-d", "6", "-m", "7"])
         assert code == 1 and "budget" in err
@@ -279,8 +308,8 @@ class TestFtableClusterVerify:
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
         _, out, _ = run(capsys, ["bisect", str(path), "--spectrum"])
-        s = topology.bisection_fwht(t)
-        rows = [f"{gf2.word_to_text(r, 4)} {int(s.cuts[r])} {int(s.alphas[r])}" for r in range(16)]
+        cuts = topology.bisection_fwht(t).tolist()
+        rows = [f"{gf2.word_to_text(r, 4)} {cuts[r]} {t.m - 2 * cuts[r]}" for r in range(16)]
         assert out.splitlines()[-17:] == ["r cut alpha", *rows]
         _, out, _ = run(capsys, ["cluster", str(path), "--levels", "2"])
         labels = topology.cluster(t, 2).labels()
@@ -327,7 +356,7 @@ class TestFtableClusterVerify:
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
-        cuts = topology.bisection_fwht(t).cuts.tolist()
+        cuts = topology.bisection_fwht(t).tolist()
         # cut chunks shorter than, as long as and longer than a row table
         for table_bits, rows in ((2, 16), (4, 4), (5, 2)):
             monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
@@ -354,7 +383,7 @@ class TestFtableClusterVerify:
                     hops.append(w)
             t = topology.build(d, hops)
             path.write_text(topology.emit_hopset(t), encoding="utf-8")
-            cuts = topology.bisection_fwht(t).cuts.tolist()
+            cuts = topology.bisection_fwht(t).tolist()
             expected = "r cut alpha\n" + "".join(
                 f"{r:0{d}b} {cut} {m - 2 * cut}\n" for r, cut in enumerate(cuts))
             code, out, err = run(capsys, ["bisect", str(path), "--spectrum"])
@@ -363,7 +392,7 @@ class TestFtableClusterVerify:
             assert run(capsys, argv) == (0, "", ""), (d, m)
             assert out_file.read_text(encoding="ascii") == out, (d, m)
 
-    @pytest.mark.parametrize("method", ["scan", "fwht"])
+    @pytest.mark.parametrize("method", ["scan"])   # the one method, named as perfbench names it
     @pytest.mark.parametrize("m", [254, 300])
     def test_spectrum_negative_alphas(self, capsys, tmp_path, m, method):
         # cuts of 128 and more and alphas below 0, from uint8 (m = 254) and
@@ -402,7 +431,7 @@ class TestFtableClusterVerify:
         assert rows.count("\n") == t.N
         assert peak < 7 * (8 << gf2._TABLE_BITS) + 6 * gf2.TEXT_ROWS * (len(rows) // t.N)
 
-    @pytest.mark.parametrize("method", ["scan", "fwht"])
+    @pytest.mark.parametrize("method", ["scan"])   # the one method, named as perfbench names it
     def test_json_spectrum_across_render_blocks(self, capsys, tmp_path, monkeypatch, method):
         monkeypatch.setattr(gf2, "_TABLE_BITS", 2)   # 16 chunks of 4 entries
         t = topology.build(6, [1, 2, 4, 8, 16, 32, 7, 56, 21])
@@ -410,13 +439,14 @@ class TestFtableClusterVerify:
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
         code, out, _ = run(
             capsys, ["bisect", str(path), "--method", method, "--format", "json", "--spectrum"])
-        s = topology.bisection_fwht(t)
-        argmin = [r for r in range(1, 64) if s.cuts[r] == s.b]
+        cuts = topology.bisection_fwht(t).tolist()
+        b = min(cuts[1:])
+        argmin = [r for r in range(1, 64) if cuts[r] == b]
         payload = {
-            "d": 6, "m": t.m, "N": 64, "b": s.b, "B_links": s.links,
+            "d": 6, "m": t.m, "N": 64, "b": b, "B_links": b * 32,
             "argmin_r": [gf2.word_to_text(r, 6) for r in argmin],
             "argmin_count": len(argmin),
-            "cuts": s.cuts.tolist(), "alphas": s.alphas.tolist(),
+            "cuts": cuts, "alphas": [t.m - 2 * cut for cut in cuts],
         }
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
@@ -457,14 +487,12 @@ class TestFtableClusterVerify:
         assert peak < 5 * (8 << gf2._TABLE_BITS) + 6 * gf2.TEXT_ROWS * row
 
     @pytest.mark.parametrize("argv,chunks", [
-        (["bisect"], 5), (["bisect", "--format", "json"], 5),
-        (["bisect", "--method", "fwht"], 5), (["bisect", "--method", "fwht", "--format", "json"], 5),
-        (["verify"], 10),
-    ], ids=["bisect", "bisect-json", "fwht", "fwht-json", "verify"])
+        (["bisect"], 5), (["bisect", "--format", "json"], 5), (["verify"], 10),
+    ], ids=["bisect", "bisect-json", "verify"])
     def test_spectral_answers_hold_no_n_entry_array(self, tmp_path, argv, chunks):
         # at d = 20 an N-entry int64 array is 16 chunks of 2**_TABLE_BITS
-        # words; bisect holds the engine's or the transform's few chunks,
-        # verify one pair of each plus the bitmaps of its cut check
+        # words; bisect holds the engine's few chunks, verify one pair of the
+        # engine's and the transform's plus the bitmaps of its cut check
         t = topology.build(20, [1 << i for i in range(20)] + [0xFFFFF, 0x55555, 0xAAAAA, 0x0F0F0])
         path = tmp_path / "h.hops"
         path.write_text(topology.emit_hopset(t), encoding="utf-8")
@@ -477,7 +505,8 @@ class TestFtableClusterVerify:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert f"{topology.bisection_fwht(t).b * (t.N // 2)}" in out.getvalue()
+        b = topology.bisection_fwht(t)[1:].min()
+        assert f"{b * (t.N // 2)}" in out.getvalue()
         assert peak < chunks * (8 << gf2._TABLE_BITS) < t.N * 8
 
     @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
@@ -520,6 +549,15 @@ class TestFtableClusterVerify:
     def test_verify_needs_input(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 1
+
+    @pytest.mark.parametrize("hopfile", ["folded3", "/nonexistent"])
+    def test_verify_refuses_hop_file_with_edge_list(self, capsys, folded3_file, tmp_path, hopfile):
+        edges = tmp_path / "square.txt"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+        hopfile = folded3_file if hopfile == "folded3" else hopfile
+        code, out, err = run(capsys, ["verify", hopfile, "--edge-list", str(edges)])
+        assert (code, out) == (1, "")
+        assert err == "error: verify takes a hop-set file or --edge-list, not both\n"
 
     def test_verify_over_budget_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
         def no_work(*args):
@@ -771,7 +809,7 @@ for argv in json.loads(sys.argv[1]):
             ["convert", "--to-hops", code, "-o", out],
             ["convert", "--to-code", hops],
             ["bisect", hops],
-            ["bisect", "--method", "fwht", "--spectrum", "--format", "json", hops],
+            ["bisect", "--spectrum", "--format", "json", hops],
             ["optimize", "-d", "3", "-m", "4"],
             ["optimize", "-d", "3", "-m", "4", "--method", "greedy", "--start", hops],
             ["routes", hops, "--dest", "110"],

@@ -23,7 +23,7 @@ class TestCodeToNetwork:
         g = GeneratorMatrix(k=d, n=d + 1, rows=rows)
         t = code_to_network(g)
         assert set(t.hops) == {1, 2, 4, 7}
-        assert bisection_fwht(t).b == 2
+        assert bisection_fwht(t)[1:].min() == 2
 
     def test_all_columns_gives_complete_graph(self):
         # every nonzero word as a column: the 8-node complete graph
@@ -36,7 +36,7 @@ class TestCodeToNetwork:
         g = GeneratorMatrix(k=3, n=7, rows=tuple(rows))
         t = code_to_network(g)
         assert {0 ^ h for h in t.hops} == set(range(1, 8))
-        assert bisection_fwht(t).b == 4
+        assert bisection_fwht(t)[1:].min() == 4
         assert bisection_bruteforce(list(t.edges()), 8) == 16
 
     def test_repeated_columns_rejected(self):
@@ -78,7 +78,7 @@ class TestCentralEquivalence:
                 t = code_to_network(g)
             except ValueError:
                 continue  # repeated or zero column: not a simple graph
-            assert codes.min_distance(g) == bisection_fwht(t).b
+            assert codes.min_distance(g) == bisection_fwht(t)[1:].min()
 
     def test_cut_is_column_combination_weight(self):
         # C_r = weight of the GF(2) combination of hop bit columns picked by r
@@ -92,10 +92,10 @@ class TestCentralEquivalence:
                 sum(((t.hops[s] >> mu) & 1) << s for s in range(m))
                 for mu in range(d)
             ]
-            spec = bisection_fwht(t)
+            cuts = bisection_fwht(t)
             for r in range(1 << d):
                 combo = 0
                 for mu in range(d):
                     if (r >> mu) & 1:
                         combo ^= cols[mu]
-                assert weight(combo) == spec.cuts[r]
+                assert weight(combo) == cuts[r]

@@ -46,7 +46,6 @@ TEXTS = st.one_of(
 
 COMMANDS = [
     ["bisect"],
-    ["bisect", "--method", "fwht", "--spectrum"],
     ["bisect", "--spectrum"],
     ["bisect", "--format", "json", "--spectrum"],
     ["mindist"],

@@ -24,7 +24,7 @@ def oracle_greedy_improve(start, swap_width=1, max_rounds=100):
     def score(hops):
         nonlocal evaluated
         evaluated += 1
-        return bisection_fwht(CayleyTopology(d=d, hops=hops)).b
+        return int(bisection_fwht(CayleyTopology(d=d, hops=hops))[1:].min())
 
     b = score(current)
     rounds = 0
@@ -88,7 +88,7 @@ class TestBruteForce:
         report = brute_force_search(3, 4)
         assert report.best_b == 2
         assert report.method == "brute"
-        assert bisection_fwht(report.best).b == 2
+        assert bisection_fwht(report.best)[1:].min() == 2
 
     def test_k4(self):
         report = brute_force_search(2, 3)
@@ -114,7 +114,7 @@ class TestBruteForce:
             basis = tuple(1 << i for i in range(d))
             pool = [w for w in range(1, 1 << d) if w not in basis]
             best = max(
-                bisection_fwht(CayleyTopology(d=d, hops=basis + extras)).b
+                bisection_fwht(CayleyTopology(d=d, hops=basis + extras))[1:].min()
                 for extras in itertools.combinations(pool, m - d)
             )
             assert report.best_b == best
@@ -157,7 +157,7 @@ class TestGreedy:
 
     def test_monotone_two_swap(self):
         start = build(4, [1, 2, 4, 8, 15])  # folded 4-cube
-        before = bisection_fwht(start).b
+        before = bisection_fwht(start)[1:].min()
         report = greedy_improve(start, swap_width=2, max_rounds=3)
         assert report.best_b >= before
 
@@ -171,10 +171,20 @@ class TestGreedy:
             pool = [w for w in range(1, 1 << d) if w not in basis]
             m = rng.randint(d, min(d + 3, d + len(pool)))
             start = build(d, basis + rng.sample(pool, m - d))
-            before = bisection_fwht(start).b
+            before = bisection_fwht(start)[1:].min()
             report = greedy_improve(start, swap_width=1, max_rounds=10)
             assert report.best_b >= before
-            assert bisection_fwht(report.best).b == report.best_b
+            assert bisection_fwht(report.best)[1:].min() == report.best_b
+
+    def test_width2_beats_width1(self):
+        # why width 2 stays: every single swap from here keeps b = 2, and one
+        # pair swap reaches 3
+        start = build(6, [1, 2, 4, 8, 16, 32, 55, 25, 49, 57])
+        one = greedy_improve(start, swap_width=1)
+        two = greedy_improve(start, swap_width=2)
+        assert (one.best_b, one.rounds) == (2, 0)
+        assert (two.best_b, two.rounds) == (3, 1)
+        assert bisection_fwht(two.best)[1:].min() == 3
 
     def test_bad_swap_width(self, folded3):
         with pytest.raises(ValueError):
@@ -215,4 +225,4 @@ class TestGreedy:
         report = greedy_improve(build(9, basis + extras), swap_width=2)
         assert time.perf_counter() - began < 5.0
         assert report.rounds < 100  # stopped at a local optimum
-        assert bisection_fwht(report.best).b == report.best_b
+        assert bisection_fwht(report.best)[1:].min() == report.best_b

@@ -260,11 +260,13 @@ class TestBisection:
         assert bisection_bruteforce(list(t.edges()), 4) == 4
 
     def test_fwht_spectrum_folded_cube(self, folded3):
-        spec = bisection_fwht(folded3)
-        assert spec.alphas[0] == 4
-        assert spec.alphas[7] == -4
-        assert spec.cuts[0] == 0
-        assert set(spec.alphas[1:7].tolist()) == {0}
+        cuts = bisection_fwht(folded3)
+        assert (cuts.dtype, cuts.size) == (np.int64, folded3.N)
+        alphas = folded3.m - 2 * cuts.astype(np.int64)
+        assert alphas[0] == 4
+        assert alphas[7] == -4
+        assert cuts[0] == 0
+        assert set(alphas[1:7].tolist()) == {0}
 
     def test_spectrum_invariants_random(self):
         rng = random.Random(5)
@@ -272,13 +274,16 @@ class TestBisection:
             d = rng.randint(2, 8)
             m = rng.randint(d, min(2 * d, (1 << d) - 1))
             t = random_topology(rng, d, m)
-            spec = bisection_fwht(t)
-            assert spec.alphas.sum() == 0  # zero trace
-            assert spec.alphas[0] == t.m
-            assert spec.alphas.max() == t.m
-            assert (spec.alphas == t.m - 2 * spec.cuts).all()
-            assert spec.b == spec.cuts[1:].min()
-            assert reduced(reduce_cuts([spec.cuts])) == listed_bisection(spec.cuts.tolist())
+            cuts = bisection_fwht(t)
+            alphas = t.m - 2 * cuts.astype(np.int64)
+            assert alphas.sum() == 0  # zero trace
+            assert alphas[0] == t.m
+            assert alphas.max() == t.m
+            # alpha_r = sum_s (-1)**parity(r & h_s), the adjacency eigenvalue
+            assert alphas.tolist() == [
+                sum(1 - 2 * walsh(r, h) for h in t.hops) for r in range(t.N)]
+            assert bisection_scan(t).b == cuts[1:].min()
+            assert reduced(reduce_cuts([cuts])) == listed_bisection(cuts.tolist())
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 11])
     def test_scan_equals_fwht(self, d):
@@ -286,9 +291,9 @@ class TestBisection:
         t = random_topology(rng, d, min(rng.randint(d, 2 * d), (1 << d) - 1))
         fwht = bisection_fwht(t)
         cuts = engine_cuts(t)
-        assert (cuts == fwht.cuts).all()
-        assert (t.m - 2 * cuts.astype(np.int64) == fwht.alphas).all()   # uint8 would wrap
-        assert reduced(bisection_scan(t)) == listed_bisection(fwht.cuts.tolist())
+        assert (cuts == fwht).all()
+        assert (t.m - 2 * cuts.astype(np.int64) == t.m - 2 * fwht).all()   # uint8 would wrap
+        assert reduced(bisection_scan(t)) == listed_bisection(fwht.tolist())
 
     @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
     @given(spanning_hopsets(max_d=9))
@@ -299,9 +304,9 @@ class TestBisection:
             scan = engine_cuts(t)
             reduced_scan = bisection_scan(t)
         fwht = bisection_fwht(t)
-        assert (fwht.cuts == scan).all()
-        assert (fwht.alphas == t.m - 2 * scan.astype(np.int64)).all()
-        assert reduced(reduced_scan) == listed_bisection(fwht.cuts.tolist())
+        assert (fwht == scan).all()
+        assert (t.m - 2 * fwht == t.m - 2 * scan.astype(np.int64)).all()
+        assert reduced(reduced_scan) == listed_bisection(fwht.tolist())
 
     @settings(max_examples=60)
     @given(wide_hopsets())
@@ -337,7 +342,7 @@ class TestBisection:
         t = random_topology(random.Random(1), 8, 12)
         cuts = engine_cuts(t)
         assert cuts.tolist() == scalar_cuts(t)
-        assert (cuts == bisection_fwht(t).cuts).all()
+        assert (cuts == bisection_fwht(t)).all()
         assert reduced(bisection_scan(t)) == listed_bisection(scalar_cuts(t))
 
     def test_scan_holds_no_spectrum_array(self):
@@ -362,7 +367,7 @@ class TestReduceCuts:
     def test_reducer_matches_fwht(self, d):
         rng = random.Random(100 + d)
         t = random_topology(rng, d, min(rng.randint(d, d + 40), (1 << d) - 1))
-        full = bisection_fwht(t).cuts.tolist()
+        full = bisection_fwht(t).tolist()
         expected = listed_bisection(full)
         assert reduced(bisection_scan(t)) == expected
         assert reduced(reduce_cuts(walsh_chunks(t))) == expected
@@ -372,7 +377,7 @@ class TestReduceCuts:
     def test_reducer_over_many_chunks(self, monkeypatch, table_bits, d):
         rng = random.Random(d * 10 + table_bits)
         t = random_topology(rng, d, min(d + 6, (1 << d) - 1))
-        expected = listed_bisection(bisection_fwht(t).cuts.tolist())   # one transform
+        expected = listed_bisection(bisection_fwht(t).tolist())   # one transform
         monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
         scan, walsh = list(cut_chunks(t)), list(walsh_chunks(t))
         assert [c.size for c in scan] == [c.size for c in walsh]
@@ -384,7 +389,7 @@ class TestReduceCuts:
         # the [48,13,16] fixture: more minimizers than the reducer lists,
         # spread over 2**13 / 2**4 chunks
         t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
-        full = bisection_fwht(t).cuts.tolist()
+        full = bisection_fwht(t).tolist()
         expected = listed_bisection(full)
         assert expected[0] == 16 and expected[1] > topology.MAX_LISTED_ARGMIN
         monkeypatch.setattr(gf2, "_TABLE_BITS", 4)
