@@ -73,11 +73,14 @@ def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
 
     Rows are split into ceil(n/64) uint64 lanes.  The codewords of the low
     min(k, _TABLE_BITS) bits of r and those of the high bits are tabulated
-    once each (_span_table); per high part, the low table is XORed with its
-    codeword and popcounted straight into the chunk, lane counts summed in
-    the chunk's dtype (exact: a weight is at most n).  The work is
-    O(2**k * ceil(n/64)) 64-bit words and the memory
-    O(2**max(_TABLE_BITS, k - _TABLE_BITS) * ceil(n/64)).
+    once each (_span_table).  Per high part u, the low table is XORed in
+    place with the change in high codeword (that of u XOR that of u - 1),
+    so it holds the codewords of the chunk, and is popcounted straight into
+    a fresh chunk, lane counts summed in the chunk's dtype (exact: a weight
+    is at most n).  The work is O(2**k * ceil(n/64)) 64-bit words.  The
+    memory is the two tables, O((2**min(k, _TABLE_BITS) + 2**max(k -
+    _TABLE_BITS, 0)) * ceil(n/64)) words, plus the chunk and one byte-wide
+    lane count: no second table-sized buffer.
     """
     k, width = len(rows), max(-(-n // 64), 1)   # n = 0 still gets one all-zero lane
     lanes = np.array(
@@ -87,13 +90,14 @@ def codeword_weights(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
     low = min(k, _TABLE_BITS)
     table, high = _span_table(lanes[:, :low]), _span_table(lanes[:, low:])
     dtype = np.min_scalar_type(n + 1)
-    buf = np.empty(1 << low, dtype=np.uint64)
-    count = np.empty(1 << low, dtype=dtype)
+    count = np.empty(1 << low, dtype=np.uint8)   # bitwise_count's own dtype
     for u in range(high.shape[1]):
+        if u:   # table[:, v] = low codeword v XOR high codeword u
+            table ^= (high[:, u] ^ high[:, u - 1])[:, None]
         chunk = np.empty(1 << low, dtype=dtype)
-        np.bitwise_count(np.bitwise_xor(table[0], high[0, u], out=buf), out=chunk)
+        np.bitwise_count(table[0], out=chunk)
         for lane in range(1, width):
-            chunk += np.bitwise_count(np.bitwise_xor(table[lane], high[lane, u], out=buf), out=count)
+            chunk += np.bitwise_count(table[lane], out=count)
         yield chunk
 
 

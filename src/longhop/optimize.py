@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .topology import CayleyTopology, bisection_fwht, bisection_scan
+from .topology import HARD_MAX_D, CayleyTopology, bisection_fwht, bisection_scan
 
 __all__ = ["SearchReport", "brute_force_search", "greedy_improve"]
 
@@ -36,9 +36,12 @@ def brute_force_search(d: int, m: int) -> SearchReport:
     nothing is lost).  The remaining m - d hops run over ascending,
     deduplicated nonzero words.
 
-    Refuses instances beyond the budget (m - d <= BRUTE_MAX_EXTRA,
-    d <= BRUTE_MAX_D) rather than silently truncating the search.
+    Refuses a dimension outside 1..HARD_MAX_D, as CayleyTopology does, and
+    instances beyond the budget (m - d <= BRUTE_MAX_EXTRA, d <= BRUTE_MAX_D)
+    rather than silently truncating the search.
     """
+    if not 1 <= d <= HARD_MAX_D:   # before any word is built
+        raise ValueError(f"dimension must be in 1..{HARD_MAX_D}, got {d}")
     if m < d:
         raise ValueError(f"m={m} must be at least d={d}")
     if m - d > BRUTE_MAX_EXTRA or d > BRUTE_MAX_D:

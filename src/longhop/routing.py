@@ -88,13 +88,14 @@ class _StepLists(dict):
     on first use, so only the nodes it visits get one; `fill` gives every
     node but 0 its row in one pass, for searches that visit them all.
 
-    `dist` is hop_distances(t) as bytes, `hop[p]` the hop of port p
+    `dist` is a memoryview of the uint8 vector hop_distances(t), which
+    shares its buffer and reads out Python ints, `hop[p]` the hop of port p
     (hop[0] is unused) and `every` all ports in order.
     """
 
-    def __init__(self, t: CayleyTopology, dist: bytes):
+    def __init__(self, t: CayleyTopology, dist: np.ndarray):
         super().__init__()
-        self.dist = dist
+        self.dist = memoryview(dist)
         self.hop = (0, *t.hops)
         self._pack = bytes if t.m < 256 else tuple
         self.every = self._pack(range(1, t.m + 1))
@@ -196,7 +197,7 @@ def shortest_paths(t: CayleyTopology, yrel: int) -> list[tuple[int, ...]]:
     """
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    steps = _StepLists(t, hop_distances(t).tobytes())
+    steps = _StepLists(t, hop_distances(t))
     return list(_walks_exact(t, yrel, steps.dist[yrel], steps))
 
 
@@ -222,7 +223,7 @@ def disjoint_paths(
     _check_diversity(t, q)
     if not 0 < yrel < t.N:
         raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    steps = _StepLists(t, hop_distances(t).tobytes())
+    steps = _StepLists(t, hop_distances(t))
     return _disjoint_paths(t, yrel, q, extra_length, steps)
 
 
@@ -300,7 +301,7 @@ def forwarding_table(
             f"a forwarding table at d={t.d}, q={q} needs {searches} walk searches,"
             f" about {searches * _SEARCH_SECONDS:.0f} s; the budget is {MAX_WALK_SEARCHES}"
         )
-    steps = _StepLists(t, hop_distances(t).tobytes())
+    steps = _StepLists(t, hop_distances(t))
     steps.fill()   # the searches visit every node
     firsts = [
         [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, steps)]

@@ -6,10 +6,11 @@ node with the hops themselves.  Breadth-first search works on bit-packed
 node sets, N/8 bytes each.  It grows a sparse level from its listed nodes
 and a dense one by moving the whole set along each hop with word-level XOR
 arithmetic, into only the words that still hold unvisited nodes once those
-are few, so its memory is O(N/8) bytes independent of m.  hop_distances
-fills an N-byte vector from it; distances only popcounts each level: at
-N = 2**24, m = 64 it takes about 1.1-1.9 s and 48 MiB peak RSS on a 2-vCPU
-VM.
+are few, so its memory is O(N/8) bytes independent of m.  distances only
+popcounts each level: at N = 2**24, m = 64 it takes about 0.7-1.9 s and
+48 MiB peak RSS on a 2-vCPU VM.  hop_distances fills an N-byte vector
+from it, unpacking each level's bitmap 2**16 nodes at a time, so the
+vector is its one N-byte array: about 0.9-1.3 s and 64 MiB there.
 
 The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
@@ -20,9 +21,12 @@ gf2.codeword_weights in chunks of 2**min(d, 16) entries, uint8 while
 m <= 254; reduce_cuts folds any such stream into b, the number of
 minimizers and the first MAX_LISTED_ARGMIN of them, so bisection_scan
 holds no N-entry array (the whole `bisect` command peaks at 32 MiB RSS
-at any d); cluster reduces the chunks too and returns only its splits, a
-Clustering whose labels are read out block by block; both reduce the
-narrow chunks as they come, without widening them.  walsh_chunks yields
+at any d); cluster reduces the chunks too, masking the span of its
+earlier splits per chunk from an echelon basis of them, and returns only
+its splits, a Clustering whose labels are read out block by block, so it
+holds O(2**16) memory at any level count (`cluster --levels 22` peaks at
+31 MiB RSS at d = 24); both reduce the narrow chunks as they come,
+without widening them.  walsh_chunks yields
 the same cuts in int64 chunks off Walsh-Hadamard transforms: the
 independent oracle that verify and the tests check the engine against.
 bisection_fwht places them in one N-entry int64 array, from which the
@@ -291,6 +295,7 @@ _SWAPS = tuple(
 _BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
 _LIST_SHARE = 0.5        # node-list BFS step up to this many frontier nodes per word
 _OPEN_SHARE = 0.5        # open-word BFS step below this share of words with unvisited nodes
+_UNPACK_OCTETS = 1 << 13   # hop_distances unpacks a level's bitmap 2**16 nodes at a time
 
 
 def _word_idx(t: CayleyTopology) -> np.ndarray:
@@ -408,13 +413,20 @@ def hop_distances(t: CayleyTopology) -> np.ndarray:
     """BFS hop distance from node 0 to every node (uint8 vector of length N).
 
     Filled level by level from the bit-packed search, which holds O(N/8)
-    bytes whatever m is, so the vector is the one N-entry array.  uint8
-    suffices: a spanning hop set has diameter <= d <= 32.
+    bytes whatever m is; each level's bitmap is unpacked _UNPACK_OCTETS
+    octets at a time, skipping empty ones, so the vector is the one
+    N-entry array.  uint8 suffices: a spanning hop set has diameter
+    <= d <= 32.
     """
     dist = np.zeros(t.N, dtype=np.uint8)
     for level, new in enumerate(_levels(t)):
-        reached = np.unpackbits(new.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-        dist[reached[: t.N].view(bool)] = level
+        octets = new.astype("<u8", copy=False).view(np.uint8)   # octet b: nodes 8b .. 8b + 7
+        for lo in range(0, octets.size, _UNPACK_OCTETS):
+            block = octets[lo : lo + _UNPACK_OCTETS]
+            if block.any():
+                part = dist[8 * lo : 8 * (lo + block.size)]   # short of 8 * block.size below d = 6
+                reached = np.unpackbits(block, bitorder="little", count=part.size)
+                np.copyto(part, level, where=reached.view(bool))
     return dist
 
 
@@ -519,32 +531,54 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> Cl
     inside cells: the weight of the codeword r.G of their hop matrix G,
     which each level reduces from gf2.codeword_weights chunk by chunk.
 
+    The span of the splits used so far is masked chunk by chunk.  Chunks
+    hold 2**L entries, L = min(d, gf2._TABLE_BITS); an echelon basis of the
+    splits on their bits from L up (`pivots`) reduces chunk u's first index
+    u * 2**L to the in-chunk offset of a span vector in chunk u, if there
+    is one, and the span's vectors below 2**L (`inner`) give the others.
+
     Returns the chosen indices as a Clustering, whose 2**levels labels
-    are equally populated; no N-entry array is built.  The cap stays
-    because the labels are read out for all 2**d nodes.
+    are equally populated; no N-entry array is built, and each level holds
+    O(2**L) memory.  The cap stays because the labels are read out for
+    all 2**d nodes.
     """
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
     check_cap(t.d, max_d)
+    low = min(t.d, gf2._TABLE_BITS)   # the chunk layout of gf2.codeword_weights
     used: list[int] = []
-    span = np.zeros(1, dtype=np.int64)
+    pivots: list[tuple[int, int]] = []   # (highest bit of r >> low, span vector r), descending
+    inner = np.zeros(1, dtype=np.intp)   # the span vectors below 2**low
+
+    def reduce(r: int) -> int:
+        # r XOR the span vectors that clear its pivot bits: below 2**low
+        # exactly when r >> low is in the span of the high parts
+        for bit, vector in pivots:
+            if r >> (low + bit) & 1:
+                r ^= vector
+        return r
+
     for _ in range(levels):
         intra = [
             h for h in t.hops if all(((h & u).bit_count() & 1) == 0 for u in used)
         ]
         # above every cut, and within the chunks' dtype, which holds len(intra) + 1
         sentinel = len(intra) + 1
-        best, r_star, lo = sentinel, 0, 0
-        for cross in gf2.codeword_weights(gf2.transpose(intra, t.d), len(intra)):
-            hi = lo + cross.size
-            first, last = np.searchsorted(span, (lo, hi))
-            cross[span[first:last] - lo] = sentinel  # r independent of earlier splits
+        best, r_star = sentinel, 0
+        chunks = gf2.codeword_weights(gf2.transpose(intra, t.d), len(intra))
+        for u, cross in enumerate(chunks):
+            offset = reduce(u << low)
+            if not offset >> low:   # chunk u meets the span: r independent of earlier splits
+                cross[inner ^ offset] = sentinel
             r = int(np.argmin(cross))   # the smallest r wins ties, chunks ascend
             if cross[r] < best:
-                best, r_star = int(cross[r]), lo + r
-            lo = hi
+                best, r_star = int(cross[r]), (u << low) + r
         used.append(r_star)
-        span = np.sort(np.concatenate([span, span ^ r_star]))   # sorted for searchsorted
+        r_star = reduce(r_star)
+        if r_star >> low:
+            pivots = sorted([*pivots, ((r_star >> low).bit_length() - 1, r_star)], reverse=True)
+        else:
+            inner = np.concatenate([inner, inner ^ r_star])
     return Clustering(t.d, tuple(used))
 
 

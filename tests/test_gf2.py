@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,40 @@ class TestCodewordWeights:
         assert {c.dtype for c in chunks} == {np.dtype(dtype)}
         assert np.concatenate(chunks).tolist() == xor_weights(rows)
         assert int(chunks[0].max()) == n
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_consumer_holds_one_table_per_lane(self, n):
+        # k = 20: the low table (one 2**16-word table per lane), the chunk
+        # the consumer still holds, the next one and a byte-wide lane count;
+        # no second 2**16-word buffer
+        rng = random.Random(n)
+        rows = [rng.getrandbits(n) for _ in range(20)]
+        tracemalloc.start()
+        try:
+            for chunk in gf2.codeword_weights(rows, n):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lanes = -(-n // 64)
+        assert peak < (lanes + 0.5) * (8 << gf2._TABLE_BITS)
+
+    @pytest.mark.parametrize("table_bits", [1, 3])
+    def test_chunks_are_fresh_arrays(self, monkeypatch, table_bits):
+        # the table is XORed in place; each chunk owns its entries, so a
+        # consumer that overwrites them (as cluster's masking does) changes
+        # no later chunk
+        monkeypatch.setattr(gf2, "_TABLE_BITS", table_bits)
+        rng = random.Random(table_bits)
+        rows = [rng.getrandbits(130) for _ in range(7)]
+        weights = xor_weights(rows)
+        lo = 0
+        for chunk in gf2.codeword_weights(rows, 130):
+            assert chunk.flags.owndata
+            assert chunk.tolist() == weights[lo : lo + chunk.size]
+            chunk[:] = 0
+            lo += chunk.size
+        assert lo == 1 << 7
 
     def test_k21_full_table(self):
         # rows 1, 2, 4, ... of 21 bits: weight(r.G) = weight(r), in 32 chunks of 2**16

@@ -107,6 +107,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="budget"):
             brute_force_search(6, 7)
 
+    @pytest.mark.parametrize("d", [-1, 0, 33])
+    def test_dimension_out_of_range_refused(self, d):
+        with pytest.raises(ValueError, match=rf"^dimension must be in 1\.\.32, got {d}$"):
+            brute_force_search(d, 1)
+
     def test_self_consistent_rescan(self):
         # independent re-enumeration of every candidate must agree
         for d, m in [(3, 4), (3, 5), (4, 5), (4, 6)]:

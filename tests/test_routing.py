@@ -18,7 +18,7 @@ from longhop.routing import (
     shortest_paths,
     simulate_forwarding,
 )
-from longhop.topology import build, hop_distances
+from longhop.topology import build, distances, hop_distances
 
 from conftest import DATA, folded_cube, hypercube, random_topology
 
@@ -119,7 +119,7 @@ class TestStepLists:
         for d in range(1, 9):
             for _ in range(3):
                 t = random_topology(rng, d, rng.randint(d, min(d + 6, (1 << d) - 1)))
-                dist = hop_distances(t).tobytes()
+                dist = hop_distances(t)
                 steps = routing._StepLists(t, dist)
                 for z in range(t.N):
                     closer, level = steps[z]
@@ -136,7 +136,7 @@ class TestStepLists:
         for d in range(1, 10):
             for _ in range(3):
                 t = random_topology(rng, d, rng.randint(d, min(d + 6, (1 << d) - 1)))
-                dist = hop_distances(t).tobytes()
+                dist = hop_distances(t)
                 filled = routing._StepLists(t, dist)
                 filled.fill()
                 lazy = routing._StepLists(t, dist)
@@ -147,7 +147,7 @@ class TestStepLists:
         # spans of one node (also when _FILL_ENTRIES is below m), of a few
         # nodes with a short last span, and of the whole table
         t = random_topology(random.Random(14), 7, 12)
-        dist = hop_distances(t).tobytes()
+        dist = hop_distances(t)
         lazy = routing._StepLists(t, dist)
         expected = {z: lazy[z] for z in range(1, t.N)}
         for entries in (1, 12, 50, 1 << 20):
@@ -158,10 +158,11 @@ class TestStepLists:
 
     def test_more_than_255_ports_pack_tuples(self):
         t = random_topology(random.Random(9), 9, 300)
-        steps = routing._StepLists(t, hop_distances(t).tobytes())
+        dist = hop_distances(t)
+        steps = routing._StepLists(t, dist)
         assert steps.every == tuple(range(1, 301))
         assert all(type(row) is tuple for row in steps[0b101])
-        filled = routing._StepLists(t, steps.dist)
+        filled = routing._StepLists(t, dist)
         filled.fill()
         assert filled == {z: steps[z] for z in range(1, t.N)}
         assert all(type(row) is tuple for rows in filled.values() for row in rows)
@@ -193,6 +194,29 @@ class TestStepLists:
         assert [len(p) for p in paths] == [8, 8, 8, 8]
         assert len(made) == 1 and 0 < len(made[0]) < 1000
         assert peak < 5 * t.N < t.N * t.m // 4
+
+    def test_step_lists_share_the_distance_vector(self, monkeypatch):
+        # d = 20: the step lists read the vector hop_distances returned, not
+        # a copy, so a query peaks at the vector plus the search's own peak
+        t = random_topology(random.Random(20), 20, 64)
+        made, vectors = record_step_lists(monkeypatch), []
+
+        def recorded(t):
+            vectors.append(hop_distances(t))
+            return vectors[-1]
+
+        monkeypatch.setattr(routing, "hop_distances", recorded)
+        peaks = []
+        for run in (lambda: distances(t), lambda: disjoint_paths(t, t.N - 1, 4)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        search, query = peaks
+        assert np.shares_memory(np.frombuffer(made[0].dist, dtype=np.uint8), vectors[0])
+        assert query < t.N + search + t.N // 4
 
     def test_full_table_cache_is_compact(self, monkeypatch):
         # a whole g48 table fills a row for every node; each row is two short

@@ -593,6 +593,33 @@ class TestDistances:
         assert 0 < summary.diameter <= d
         assert min(summary.histogram) > 0
 
+    @pytest.mark.parametrize("octets", [1, 2, 3])
+    @settings(max_examples=60)
+    @given(t=spanning_hopsets())
+    def test_unpacked_in_small_blocks(self, octets, t):
+        # every level's bitmap unpacked in many blocks, a short last one
+        # included, and empty blocks skipped
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_UNPACK_OCTETS", octets)
+            dist = topology.hop_distances(t)
+        assert dist.dtype == np.uint8
+        assert dist.tolist() == oracle_hop_distances(t).tolist()
+
+    def test_d20_holds_no_unpacked_level(self):
+        # the vector and the search's own peak, plus one block of
+        # _UNPACK_OCTETS octets unpacked; no N-byte mask of a whole level
+        t = random_topology(random.Random(20), 20, 64)
+        peaks = []
+        for run in (distances, topology.hop_distances):
+            tracemalloc.start()
+            try:
+                run(t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        search, vector = peaks
+        assert vector < t.N + search + t.N // 4
+
 
 class TestCluster:
     def test_zero_levels(self, folded3):
@@ -634,6 +661,38 @@ class TestCluster:
             mp.setattr(gf2, "_TABLE_BITS", table_bits)
             labels = cluster(t, levels).labels()
         assert labels.tolist() == oracle_cluster(t, levels).tolist()
+
+    @pytest.mark.parametrize("d", range(5, 11))
+    def test_every_level_in_many_chunks(self, d):
+        # chunks of 2, 4 and 8 entries: the span of the earlier splits is
+        # found per chunk from the echelon basis of their high bits; the
+        # oracle's splits at level L are the first L of its d splits
+        rng = random.Random(d)
+        t = random_topology(rng, d, rng.randint(d, 2 * d + 4))
+        full = oracle_cluster(t, d)
+        for table_bits in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gf2, "_TABLE_BITS", table_bits)
+                clusterings = [cluster(t, levels) for levels in range(d + 1)]
+            for levels, clustering in enumerate(clusterings):
+                assert clustering.labels().tolist() == (full >> (d - levels)).tolist()
+
+    def test_peak_does_not_grow_with_levels(self):
+        # d = 18 streams four chunks per level; at 16 levels the span of
+        # the splits has 2**16 vectors, but only those below 2**16 with
+        # zero high bits are held, beside the engine's table and chunks
+        t = random_topology(random.Random(18), 18, 64)
+        peaks = []
+        for levels in (1, 16):
+            tracemalloc.start()
+            try:
+                cluster(t, levels)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table = 8 << gf2._TABLE_BITS
+        assert peaks[1] < peaks[0] + table // 2
+        assert peaks[1] < 2 * table
 
     @pytest.mark.parametrize("levels,splits", [(1, (176,)), (2, (176, 8)), (3, (176, 8, 83))])
     def test_many_hops(self, levels, splits):
