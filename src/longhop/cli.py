@@ -214,6 +214,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_routes(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
+    topology.check_cap(t.d, topology.DEFAULT_MAX_D)   # before the N-byte distance vector
     src = gf2.word_from_text(args.src) if args.src else 0
     dst = gf2.word_from_text(args.dest)
     if not 0 <= src < t.N:

@@ -4,11 +4,13 @@ Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
 leads to x XOR hops[s-1].  Adjacency is never materialized: callers XOR a
 node with the hops themselves.  Breadth-first search works on bit-packed
 node sets, N/8 bytes each.  It grows a sparse level from its listed nodes
-and a dense one by moving the whole set along each hop with word-level XOR
-arithmetic, into only the words that still hold unvisited nodes once those
-are few, so its memory is O(N/8) bytes independent of m.  distances only
-popcounts each level: at N = 2**24, m = 64 it takes about 0.7-1.9 s and
-48 MiB peak RSS on a 2-vCPU VM.  hop_distances fills an N-byte vector
+and any other by moving the frontier along each hop with word-level XOR
+arithmetic, into only the words that still hold unvisited nodes.  Its
+bitmaps and move temporaries are a few N/8-byte arrays whatever m is:
+under tracemalloc, distances peaks at 1.31 N bytes at N = 2**20 and
+1.13 N at N = 2**24 (m = 64).  distances only popcounts each level: at
+N = 2**24, m = 64 it takes about 0.7-1.9 s and 48 MiB peak RSS on a
+2-vCPU VM.  hop_distances fills an N-byte vector
 from it, unpacking each level's bitmap 2**16 nodes at a time, so the
 vector is its one N-byte array: about 0.9-1.3 s and 64 MiB there.
 
@@ -294,23 +296,14 @@ _SWAPS = tuple(
 )
 _BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
 _LIST_SHARE = 0.5        # node-list BFS step up to this many frontier nodes per word
-_OPEN_SHARE = 0.5        # open-word BFS step below this share of words with unvisited nodes
 _UNPACK_OCTETS = 1 << 13   # hop_distances unpacks a level's bitmap 2**16 nodes at a time
 
 
-def _word_idx(t: CayleyTopology) -> np.ndarray:
-    """Indices of the max(N/64, 1) uint64 words of a node bitmap: node x is
-    bit x & 63 of word x >> 6."""
-    return np.arange(max(t.N >> 6, 1), dtype=np.int64)
-
-
-def _hop_blocks(t: CayleyTopology, words: int) -> list:
-    """The hops grouped for _moves over `words` target words, so that a
-    block moves about _BLOCK_WORDS words.  Per block: the word-index offsets
-    (h >> 6) and, for each swap j, the rows whose hop has bit j of h & 63
-    set."""
+def _hop_blocks(t: CayleyTopology, size: int) -> list:
+    """The hops grouped `size` to a block for _moves.  Per block: the
+    word-index offsets (h >> 6) and, for each swap j, the rows whose hop
+    has bit j of h & 63 set."""
     high = np.array(t.hops, dtype=np.int64) >> 6
-    size = max(_BLOCK_WORDS // words, 1)
     blocks = []
     for lo in range(0, t.m, size):
         block = t.hops[lo : lo + size]
@@ -358,12 +351,15 @@ def _grow_listed(frontier: np.ndarray, hops: np.ndarray, per: int) -> np.ndarray
 
 
 def _grow_moved(frontier: np.ndarray, blocks, target: np.ndarray) -> np.ndarray:
-    """Open-word and full steps: the words `target` of the bitmap of every
-    node one hop from the frontier, from the frontier moved along every hop."""
+    """Moved step: the bitmap of every node one hop from the frontier, in
+    the words `target` (zero elsewhere), from the frontier moved along
+    every hop."""
     reach = np.zeros(target.size, dtype=np.uint64)
     for moved in _moves(frontier, blocks, target):
         reach |= np.bitwise_or.reduce(moved, axis=0)
-    return reach
+    grown = np.zeros_like(frontier)
+    grown[target] = reach
+    return grown
 
 
 def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
@@ -372,37 +368,36 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
 
     As in direction-optimizing BFS (Beamer, Asanovic and Patterson, SC'12),
     a level costs what its frontier or its unvisited words cost, not what
-    the graph costs.  Each next level comes from the cheapest of three steps:
+    the graph costs.  Each next level comes from the cheaper of two steps:
     - node-list, while the frontier holds at most _LIST_SHARE * N/64 nodes:
       they are listed from its bitmap and XORed with every hop, and
       np.bitwise_or.at sets the candidates' bits, at most max(N/64, m) at
       a time (a candidate costs about twice a moved word, and both steps
       scale with m);
-    - open-word, while fewer than _OPEN_SHARE of the N/64 words hold an
-      unvisited node: the frontier is moved along every hop into those
-      words only;
-    - full: the frontier is moved along every hop into every word.
+    - moved: the frontier is moved along every hop into the W words that
+      still hold an unvisited node (at first all N/64), max(_BLOCK_WORDS
+      // W, 1) hops at a time.  W only shrinks, so the hop blocks are
+      built once per block size the search meets.
     The search stops once all N nodes are visited, with no empty pass.
     """
-    word_idx = _word_idx(t)
-    full_blocks = _hop_blocks(t, word_idx.size)
+    words = max(t.N >> 6, 1)   # node x is bit x & 63 of word x >> 6
     hops = np.array(t.hops, dtype=np.int64)
-    per = max(word_idx.size // t.m, 1)   # frontier nodes per node-list chunk
-    frontier = np.zeros(word_idx.size, dtype=np.uint64)
+    per = max(words // t.m, 1)   # frontier nodes per node-list chunk
+    blocks = {}                  # _hop_blocks by hops per block
+    frontier = np.zeros(words, dtype=np.uint64)
     frontier[0] = 1
     visited = frontier.copy()
     count = seen = 1
     yield frontier
     while count and seen < t.N:   # a spanning hop set never empties the frontier early
-        if count <= _LIST_SHARE * word_idx.size:
+        if count <= _LIST_SHARE * words:
             frontier = _grow_listed(frontier, hops, per) & ~visited
-        elif np.count_nonzero(~visited) < _OPEN_SHARE * word_idx.size:
-            target = np.flatnonzero(~visited)
-            new = np.zeros_like(frontier)
-            new[target] = _grow_moved(frontier, _hop_blocks(t, target.size), target)
-            frontier = new & ~visited
         else:
-            frontier = _grow_moved(frontier, full_blocks, word_idx) & ~visited
+            target = np.flatnonzero(~visited)
+            size = max(_BLOCK_WORDS // target.size, 1)
+            if size not in blocks:
+                blocks[size] = _hop_blocks(t, size)
+            frontier = _grow_moved(frontier, blocks[size], target) & ~visited
         visited |= frontier
         count = int(np.bitwise_count(frontier).sum())
         seen += count
@@ -412,11 +407,11 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
 def hop_distances(t: CayleyTopology) -> np.ndarray:
     """BFS hop distance from node 0 to every node (uint8 vector of length N).
 
-    Filled level by level from the bit-packed search, which holds O(N/8)
-    bytes whatever m is; each level's bitmap is unpacked _UNPACK_OCTETS
-    octets at a time, skipping empty ones, so the vector is the one
-    N-entry array.  uint8 suffices: a spanning hop set has diameter
-    <= d <= 32.
+    Filled level by level from the bit-packed search, whose temporaries
+    peak at about 1.1-1.3 N bytes whatever m is; each level's bitmap is
+    unpacked _UNPACK_OCTETS octets at a time, skipping empty ones, so the
+    vector is the one N-entry array.  uint8 suffices: a spanning hop set
+    has diameter <= d <= 32.
     """
     dist = np.zeros(t.N, dtype=np.uint8)
     for level, new in enumerate(_levels(t)):
@@ -471,7 +466,7 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
     rs = list(rs)
     words = max(t.N >> 6, 1)
     batch = max(min(_BLOCK_WORDS // words, len(rs)), 1)
-    blocks = _hop_blocks(t, batch * words)
+    blocks = _hop_blocks(t, max(_BLOCK_WORDS // (batch * words), 1))
     x = np.arange(min(t.N, 64), dtype=np.uint64)
     idx = np.arange(batch * words)   # the words of a batch; the first W index one colouring
     for lo in range(0, len(rs), batch):

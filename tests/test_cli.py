@@ -269,6 +269,20 @@ class TestRoutes:
         assert code == 1 and out == ""
         assert f"diversity must be in 1..4, got {q}" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--diversity", "4"]], ids=["shortest", "disjoint"])
+    def test_refused_above_cap(self, capsys, tmp_path, monkeypatch, flags):
+        path = tmp_path / "d25.hops"
+        path.write_text(topology.emit_hopset(topology.build(25, [1 << i for i in range(25)])))
+
+        def no_search(t):
+            raise AssertionError("the BFS ran")
+
+        monkeypatch.setattr(topology, "hop_distances", no_search)
+        monkeypatch.setattr(routing, "hop_distances", no_search)
+        code, out, err = run(capsys, ["routes", str(path), "--dest", "1" * 25, *flags])
+        assert code == 1 and out == ""
+        assert "d=25 exceeds the full-spectrum cap 24" in err
+
     def test_source_out_of_range(self, capsys, folded3_file):
         code, out, err = run(capsys, ["routes", folded3_file, "--dest", "011", "--src", "1111"])
         assert code == 1 and out == ""
