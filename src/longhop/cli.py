@@ -180,7 +180,8 @@ def _cmd_optimize(args) -> int:
                     f" expected (d={args.d}, m={args.m})"
                 )
         else:
-            topology.check_cap(args.d, topology.DEFAULT_MAX_D)   # before any word is built
+            # before any word is built
+            topology.check_cap(args.d, topology.DEFAULT_MAX_D, liftable=False)
             if args.m < args.d:
                 raise ValueError(f"m={args.m} must be at least d={args.d}")
             if args.m - args.d > (1 << args.d) - 1 - args.d:
@@ -214,7 +215,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_routes(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
-    topology.check_cap(t.d, topology.DEFAULT_MAX_D)   # before the N-byte distance vector
+    # before the N-byte distance vector
+    topology.check_cap(t.d, topology.DEFAULT_MAX_D, liftable=False)
     src = gf2.word_from_text(args.src) if args.src else 0
     dst = gf2.word_from_text(args.dest)
     if not 0 <= src < t.N:

@@ -10,9 +10,9 @@ Edge-disjoint path sets are built greedily: all shortest paths in
 lexicographic port order first, then paths exactly one hop longer, and so
 on, until the requested diversity Q is reached.  An undirected edge is the
 integer id min(x, x ^ h_p) * m + p (port p from node x); `path_edges`
-turns a candidate path into its edge set.  Path selectors apply at the
-source; after the first hop a packet follows selector-1 (shortest)
-entries, which guarantees convergence of table-driven forwarding.
+gives a path's edge set.  Path selectors apply at the source; after the
+first hop a packet follows selector-1 (shortest) entries, which guarantees
+convergence of table-driven forwarding.
 
 One walk generator serves every search.  It steps only where the walk
 can still arrive: a hop moves the distance to node 0 by at most one, so
@@ -20,13 +20,19 @@ the admissible ports at a node are all ports, those that go no farther,
 or those that go one level closer, by the hops left.  The last two lists
 are kept per node (`_StepLists`): one query fills them on first use and
 pays only for the nodes it visits, while a whole table, which visits every
-node, fills them all in one numpy pass.  The walk also skips every edge of
-a path already accepted, which those candidates could never join, and
-after each yield backs up past the first of its own steps whose edge has
-since been taken, so every walk it yields is accepted.
+node, fills them all in one numpy pass.
+
+Path 1, the lexicographically first shortest walk, takes the lowest closer
+port at every node and never backs up, so a descent over the step lists
+finds it without a search, and `path_edges` gives its edges.  The walk
+search finds the others.  It skips every edge already taken, which a
+candidate could never join, adds the edges of each walk it yields to the
+taken set, and then backs up to its first step, so every walk it yields is
+accepted.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,12 +55,13 @@ __all__ = [
 
 DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
 # forwarding_table refuses to run more (N - 1) * q walk searches than this.
-# One search takes 7-15 us on a 2-vCPU VM (the [48,13,16] fixture network:
-# 0.24-0.34 s at q = 4, 0.9-1.3 s at q = 16; d = 16, m = 32, q = 4, at the
-# budget: 2.5-2.8 s), so the budget is at most about 5 s; refusals
-# estimate their time at _SEARCH_SECONDS per search.
+# One search takes 2.5-7 us in-process on a 2-vCPU VM, BFS and step lists
+# included (the [48,13,16] fixture network: 0.09 s at q = 4, 0.31 s at
+# q = 16; d = 16, m = 32, q = 4, at the budget: 1.0-1.1 s; d = 19, m = 38,
+# q = 1: 3.4 s), so the budget is at most about 2 s; refusals estimate
+# their time at _SEARCH_SECONDS per search.
 MAX_WALK_SEARCHES = 1 << 18
-_SEARCH_SECONDS = 2e-5
+_SEARCH_SECONDS = 7e-6
 _FILL_ENTRIES = 1 << 16   # (node, port) pairs per _StepLists.fill span: about 1 MiB of temporaries
 
 
@@ -133,36 +140,34 @@ def _walks_exact(
     yrel: int,
     length: int,
     steps: _StepLists,
-    used: set[int] | frozenset[int] = frozenset(),
+    used: set[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All non-backtracking port sequences of exactly `length` hops that XOR
-    to yrel and take no edge in `used`, yielded in lexicographic order.
+    to yrel, yielded in lexicographic order; given a set `used`, only those
+    disjoint from it and from each other.
 
     dist[yrel] <= length.  A hop changes the distance to node 0 by at most
     one, so with `left` hops after this step and slack = left - dist[rest],
     the steps that can still reach yrel are the closer ports (slack -1),
-    the level ports (slack 0) or every port (slack >= 1).  `used` is read
-    live: the caller may add edges between two yields.  After each yield the
-    walk re-checks its own steps and backs up to the first one whose edge is
-    now used, so no walk it yields takes an edge that was in `used` at the
-    time.
+    the level ports (slack 0) or every port (slack >= 1).  The walk skips
+    every edge in `used`, adds each walk's edge ids to it before yielding
+    the walk, and then backs up to step 0, whose edge it has just taken.
     """
     dist, hop, every, m = steps.dist, steps.hop, steps.every, t.m
-
-    def admitted(x: int, left: int) -> Iterator[int]:
-        # ports that may follow node x with `left` hops after the step
-        rest = yrel ^ x                      # the XOR still to cover
-        slack = left - dist[rest]
-        return iter(every if slack > 0 else steps[rest][slack + 1])
+    taken = frozenset() if used is None else used
 
     # depth-first over an explicit stack: at depth k the walk stands on
     # node[k], todo[k] holds the ports still to try for hop seq[k], and
-    # edge[k] is the edge id of hop seq[k]
+    # edge[k] is the edge id of hop seq[k]; todo[k] is read off the step
+    # lists of rest = yrel ^ node[k], the XOR still to cover, by its
+    # slack = last - k - dist[rest]
     last = length - 1
     seq = [0] * length
     node = [0] * length
     edge = [0] * length
-    todo = [admitted(0, last)] * length   # todo[k > 0] is set on the way down
+    slack = last - dist[yrel]
+    # todo[k > 0] is set on the way down
+    todo = [iter(every if slack > 0 else steps[yrel][slack + 1])] * length
     k = 0
     while k >= 0:
         x = node[k]
@@ -170,20 +175,23 @@ def _walks_exact(
         for p in todo[k]:
             y = x ^ hop[p]
             e = (x if x < y else y) * m + p
-            if p == prev or e in used:
+            if p == prev or e in taken:
                 continue
             seq[k] = p
             edge[k] = e
             if k < last:
                 k += 1
                 node[k] = y
-                todo[k] = admitted(y, last - k)
+                rest = yrel ^ y
+                slack = last - k - dist[rest]
+                todo[k] = iter(every if slack > 0 else steps[rest][slack + 1])
                 break
+            if used is not None:
+                used.update(edge)
+                k = 0
             yield tuple(seq)
-            if used:   # the caller may have taken some of these edges
-                k = next((j for j in range(length) if edge[j] in used), k)
-                if k < last:
-                    break
+            if k < last:
+                break
         else:
             k -= 1
 
@@ -232,18 +240,23 @@ def _disjoint_paths(
 ) -> list[tuple[int, ...]]:
     """disjoint_paths for validated arguments, given the topology's step lists.
 
-    _walks_exact skips every edge of an accepted path, so each walk it
+    Path 1, the lexicographically first shortest walk, steps on the lowest
+    closer port at every node, so a descent finds it without a search.
+    _walks_exact then skips and takes edges in `used`, so each walk it
     yields is disjoint from those already chosen and is accepted.
     """
     base = steps.dist[yrel]
-    chosen: list[tuple[int, ...]] = []
-    used: set[int] = set()
+    first, rest = [], yrel
+    while rest:
+        p = steps[rest][0][0]
+        first.append(p)
+        rest ^= steps.hop[p]
+    chosen = [tuple(first)]
+    used = set(path_edges(t, chosen[0]))
     for length in range(base, base + extra_length + 1):
-        for seq in _walks_exact(t, yrel, length, steps, used):
-            chosen.append(seq)
-            used |= path_edges(t, seq)
-            if len(chosen) == q:
-                return chosen
+        chosen += itertools.islice(_walks_exact(t, yrel, length, steps, used), q - len(chosen))
+        if len(chosen) == q:
+            return chosen
     raise Unroutable(
         f"only {len(chosen)} edge-disjoint paths of length <= {base + extra_length} "
         f"exist for destination {yrel} (requested {q})",

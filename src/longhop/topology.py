@@ -147,14 +147,14 @@ def cut_walsh(t: CayleyTopology, r: int) -> int:
     return sum((r & h).bit_count() & 1 for h in t.hops)
 
 
-def check_cap(d: int, max_d: int) -> None:
-    """Refuse a dimension above min(max_d, HARD_MAX_D) with a ValueError."""
+def check_cap(d: int, max_d: int, *, liftable: bool = True) -> None:
+    """Refuse a dimension above min(max_d, HARD_MAX_D) with a ValueError.
+    The message names the ways to lift the cap unless `liftable` is false,
+    as for the commands that have no --allow-large."""
     cap = min(max_d, HARD_MAX_D)
     if d > cap:
-        raise ValueError(
-            f"d={d} exceeds the full-spectrum cap {cap};"
-            " bisect, cluster and verify lift it with --allow-large (library: max_d)"
-        )
+        lift = "; bisect, cluster and verify lift it with --allow-large (library: max_d)"
+        raise ValueError(f"d={d} exceeds the full-spectrum cap {cap}" + (lift if liftable else ""))
 
 
 def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:

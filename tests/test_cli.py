@@ -798,6 +798,18 @@ class TestNarrowParser:
                 flagged.append(name)
         assert flagged == ["bisect", "cluster", "verify"]
 
+    @pytest.mark.parametrize("argv", [
+        ["routes", "HOPS", "--dest", "1" * 25, "--diversity", "4"],
+        ["optimize", "-d", "25", "-m", "30", "--method", "greedy"],
+    ], ids=["routes", "greedy-default-start"])
+    def test_cap_refusal_without_the_flag_names_the_limit(self, capsys, tmp_path, argv):
+        # neither command takes --allow-large, so the message names no way to lift the cap
+        path = tmp_path / "d25.hops"
+        path.write_text(topology.emit_hopset(topology.build(25, [1 << i for i in range(25)])))
+        code, out, err = run(capsys, [str(path) if a == "HOPS" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err == "error: d=25 exceeds the full-spectrum cap 24\n"
+
 
 class TestFreshProcess:
     # Run in a fresh interpreter: prints, per command, its exit status and

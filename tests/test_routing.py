@@ -76,6 +76,24 @@ def record_step_lists(monkeypatch):
     return made
 
 
+def record_walks(monkeypatch):
+    """Patch routing._walks_exact to log the walks it yields when given a
+    `used` set, and that set per call; returns (walks, sets)."""
+    walks, sets = [], []
+    walks_exact = routing._walks_exact
+
+    def recorded(t, yrel, length, steps, used=None):
+        if used is not None:
+            sets.append(used)
+        for walk in walks_exact(t, yrel, length, steps, used):
+            if used is not None:
+                walks.append(walk)
+            yield walk
+
+    monkeypatch.setattr(routing, "_walks_exact", recorded)
+    return walks, sets
+
+
 @st.composite
 def routing_cases(draw):
     d = draw(st.integers(1, 4))
@@ -261,6 +279,18 @@ class TestShortestPaths:
                 w = yrel.bit_count()
                 assert len(shortest_paths(t, yrel)) == math.factorial(w)
 
+    def test_longer_walks_match_oracle(self):
+        # without a `used` set the generator yields every non-backtracking
+        # walk of the length, also those with a detour of two or more hops
+        for t in (hypercube(3), folded_cube(3), random_topology(random.Random(4), 4, 6)):
+            steps = routing._StepLists(t, hop_distances(t))
+            for length in range(1, 6):
+                walks = oracle_walks(t, length)
+                for yrel in range(1, t.N):
+                    if steps.dist[yrel] <= length:
+                        found = list(routing._walks_exact(t, yrel, length, steps))
+                        assert found == walks.get(yrel, []), (t.hops, yrel, length)
+
 
 class TestDisjointPaths:
     def test_rotations(self, cube3):
@@ -306,37 +336,50 @@ class TestDisjointPaths:
         assert path_edges(cube3, (1,), start=1) == path_edges(cube3, (1,)) == {1}
         assert path_edges(cube3, (2, 1)) == {0 * 3 + 2, 2 * 3 + 1}
 
-    def test_every_candidate_goes_through_path_edges(self, cube3, monkeypatch):
-        # in enumeration order, none backtracking, each once
-        tried = []
+    def test_search_takes_the_chosen_edges(self, cube3, monkeypatch):
+        # the walks come in enumeration order, none backtracking, and the
+        # edges they add to the one `used` set are exactly those of the
+        # chosen paths
+        yielded, sets = record_walks(monkeypatch)
+        assert disjoint_paths(cube3, 0b001, 3) == [(1,), (2, 1, 2), (3, 1, 3)]
+        assert yielded == [(2, 1, 2), (3, 1, 3)]
+        rng = random.Random(29)
+        for _ in range(40):
+            d = rng.randint(3, 6)
+            t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
+            yrel, q = rng.randint(1, t.N - 1), rng.randint(2, t.m)
+            sets.clear()
+            paths = disjoint_paths(t, yrel, q)
+            self._assert_disjoint(t, paths, yrel)
+            assert sets and all(used is sets[0] for used in sets), (t.hops, yrel, q)
+            assert sets[0] == set().union(*(path_edges(t, p) for p in paths)), (t.hops, yrel, q)
 
-        def record(t, path, start=0):
-            tried.append(path)
-            return path_edges(t, path, start)
-
-        monkeypatch.setattr(routing, "path_edges", record)
-        assert disjoint_paths(cube3, 0b001, 3) == tried == [(1,), (2, 1, 2), (3, 1, 3)]
-
-    def test_every_walk_reaching_path_edges_is_accepted(self, monkeypatch):
-        # the walk backs up past any step whose edge an accepted path took,
-        # so nothing it yields is rejected
-        tried = []
-
-        def record(t, path, start=0):
-            tried.append(path)
-            return path_edges(t, path, start)
-
-        monkeypatch.setattr(routing, "path_edges", record)
+    def test_every_walk_yielded_into_used_is_accepted(self, monkeypatch):
+        # the walk takes the edges of each walk it yields and backs up to
+        # step 0, so each walk it yields is chosen: path 1 comes from the
+        # descent, every other path from the search
+        yielded, _ = record_walks(monkeypatch)
         rng = random.Random(31)
         for _ in range(40):
             d = rng.randint(3, 6)
             t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
             yrel, q = rng.randint(1, t.N - 1), rng.randint(1, t.m)
-            tried.clear()
-            assert disjoint_paths(t, yrel, q) == tried, (t.hops, yrel, q)
+            yielded.clear()
+            assert disjoint_paths(t, yrel, q)[1:] == yielded, (t.hops, yrel, q)
 
-    def test_whole_table_calls_path_edges_once_per_path(self, monkeypatch):
-        # g48 at q = 4: one call per accepted path, 4 * 8191 in all
+    def test_descent_is_first_shortest_path(self):
+        rng = random.Random(37)
+        for d in range(3, 8):
+            for _ in range(3):
+                t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
+                steps = routing._StepLists(t, hop_distances(t))
+                for yrel in range(1, t.N):
+                    descent = routing._disjoint_paths(t, yrel, 1, 0, steps)
+                    assert descent == [shortest_paths(t, yrel)[0]], (t.hops, yrel)
+
+    def test_whole_table_calls_path_edges_once_per_destination(self, monkeypatch):
+        # g48 at q = 4: path 1's edges come from path_edges, the walk search
+        # records the other paths' edges itself, so 8191 calls in all
         t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
         calls = 0
 
@@ -347,7 +390,7 @@ class TestDisjointPaths:
 
         monkeypatch.setattr(routing, "path_edges", count)
         forwarding_table(t, 4)
-        assert calls == 4 * (t.N - 1) == 32764
+        assert calls == t.N - 1 == 8191
 
     def test_diversity_bounds(self, cube3):
         with pytest.raises(ValueError):
