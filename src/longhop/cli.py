@@ -245,6 +245,8 @@ def _cmd_routes(args) -> int:
 
 def _cmd_ftable(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
+    # before the N-byte distance vector; forwarding_table caps q * N itself
+    topology.check_cap(t.d, topology.DEFAULT_MAX_D, liftable=False)
     with _output(args.output) as f:
         f.writelines(routing.forwarding_table(t, args.diversity).csv_blocks())
     return 0

@@ -6,21 +6,29 @@ every node.  Paths are port sequences (ports are 1-based); a sequence is
 valid for destination Yrel when its hops XOR to Yrel.  Immediate
 backtracking (the same port twice in a row) is never generated.
 
-Edge-disjoint path sets are built greedily: all shortest paths in
-lexicographic port order first, then paths exactly one hop longer, and so
-on, until the requested diversity Q is reached.  An undirected edge is the
-integer id min(x, x ^ h_p) * m + p (port p from node x); `path_edges`
-gives a path's edge set.  Path selectors apply at the source; after the
-first hop a packet follows selector-1 (shortest) entries, which guarantees
-convergence of table-driven forwarding.
+Edge-disjoint path sets (`disjoint_paths`, behind `routes --diversity`)
+are built greedily: all shortest paths in lexicographic port order first,
+then paths exactly one hop longer, and so on, until the requested
+diversity Q is reached.  An undirected edge is the integer id
+min(x, x ^ h_p) * m + p (port p from node x); `path_edges` gives a path's
+edge set.
 
-One walk generator serves every search.  It steps only where the walk
-can still arrive: a hop moves the distance to node 0 by at most one, so
-the admissible ports at a node are all ports, those that go no farther,
+A forwarding table is in closed form: selector s of destination z is the
+s-th port in the order (dist[z ^ h_p] - dist[z], p), the ports one level
+closer in port order, then those that keep the distance, then those one
+level farther.  Selector 1 is thus the lowest closer port, the first hop
+of the lexicographically first shortest path.  Selectors apply at the
+source; after the first hop a packet follows selector 1, so a forwarded
+route arrives within dist + 2 hops (dist for selector 1).  The q first
+hops of a destination are distinct ports, but the routes forwarding
+delivers are not edge-disjoint in general.
+
+One walk generator serves every path search.  It steps only where the
+walk can still arrive: a hop moves the distance to node 0 by at most one,
+so the admissible ports at a node are all ports, those that go no farther,
 or those that go one level closer, by the hops left.  The last two lists
-are kept per node (`_StepLists`): one query fills them on first use and
-pays only for the nodes it visits, while a whole table, which visits every
-node, fills them all in one numpy pass.
+are kept per node (`_StepLists`), each filled on first use, so a query
+pays only for the nodes it visits.
 
 Path 1, the lexicographically first shortest walk, takes the lowest closer
 port at every node and never backs up, so a descent over the step lists
@@ -50,19 +58,14 @@ __all__ = [
     "simulate_forwarding",
     "path_edges",
     "DEFAULT_EXTRA_LENGTH",
-    "MAX_WALK_SEARCHES",
+    "MAX_TABLE_ENTRIES",
 ]
 
 DEFAULT_EXTRA_LENGTH = 4  # lengthening search stops at shortest + this
-# forwarding_table refuses to run more (N - 1) * q walk searches than this.
-# One search takes 2.5-7 us in-process on a 2-vCPU VM, BFS and step lists
-# included (the [48,13,16] fixture network: 0.09 s at q = 4, 0.31 s at
-# q = 16; d = 16, m = 32, q = 4, at the budget: 1.0-1.1 s; d = 19, m = 38,
-# q = 1: 3.4 s), so the budget is at most about 2 s; refusals estimate
-# their time at _SEARCH_SECONDS per search.
-MAX_WALK_SEARCHES = 1 << 18
-_SEARCH_SECONDS = 7e-6
-_FILL_ENTRIES = 1 << 16   # (node, port) pairs per _StepLists.fill span: about 1 MiB of temporaries
+# forwarding_table refuses a (q, N) port array of more entries than this:
+# 64 MiB of uint8 ports, d = 24 at q = 4
+MAX_TABLE_ENTRIES = 1 << 26
+_TABLE_CHUNK = 1 << 12    # destinations per forwarding_table pass: about 4 MiB of temporaries at m = 64
 
 
 class Unroutable(RuntimeError):
@@ -91,9 +94,8 @@ def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> froz
 class _StepLists(dict):
     """Step lists of one topology: node z maps to (closer, level), the ports
     whose hop takes z one BFS level closer to node 0 and no farther from it,
-    in port order (bytes; a tuple when m > 255).  A single query fills a row
-    on first use, so only the nodes it visits get one; `fill` gives every
-    node but 0 its row in one pass, for searches that visit them all.
+    in port order (bytes; a tuple when m > 255).  A query fills a row on
+    first use, so only the nodes it visits get one.
 
     `dist` is a memoryview of the uint8 vector hop_distances(t), which
     shares its buffer and reads out Python ints, `hop[p]` the hop of port p
@@ -115,24 +117,6 @@ class _StepLists(dict):
             self._pack([p for p in self.every if after[p] <= dz]),
         )
         return row
-
-    def fill(self) -> None:
-        """Give nodes 1..N-1 the rows __missing__ would, from numpy masks over
-        _FILL_ENTRIES (node, port) pairs at a time."""
-        dist = np.frombuffer(self.dist, dtype=np.uint8)
-        hops = np.array(self.hop[1:], dtype=np.min_scalar_type(len(dist) - 1))
-        span = max(1, _FILL_ENTRIES // len(hops))
-        for lo in range(1, len(dist), span):
-            z = np.arange(lo, min(lo + span, len(dist)), dtype=hops.dtype)
-            after = dist[z[:, None] ^ hops]      # after[i, p - 1]: distance past port p
-            dz = dist[z, None]
-            self.update(zip(z.tolist(), zip(self._rows(after < dz), self._rows(after <= dz))))
-
-    def _rows(self, mask: np.ndarray) -> list:
-        # the ports set in each row of mask, packed
-        ports = (mask.nonzero()[1] + 1).tolist()
-        ends = mask.sum(axis=1).cumsum().tolist()
-        return [self._pack(ports[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _walks_exact(
@@ -268,8 +252,9 @@ def _disjoint_paths(
 class ForwardingTable:
     """Egress port per (selector, relative destination), for one topology.
 
-    ports[s - 1, yrel] is the first hop of the s-th edge-disjoint path to
-    Yrel, for selectors 1..q and Yrel 1..N-1; column 0 (self) is unused.
+    ports[s - 1, yrel] is the s-th port in the order
+    (dist[yrel ^ h_p] - dist[yrel], p), for selectors 1..q and Yrel 1..N-1;
+    column 0 (self) is unused.
     Node X forwards to Y by looking up Yrel = X XOR Y.  csv_blocks streams
     the table as CSV text, one row per (selector, Yrel).
     """
@@ -295,33 +280,32 @@ class ForwardingTable:
             yield from rows
 
 
-def forwarding_table(
-    t: CayleyTopology, q: int, *, extra_length: int = DEFAULT_EXTRA_LENGTH
-) -> ForwardingTable:
-    """First hops of the q edge-disjoint paths for every destination.
+def forwarding_table(t: CayleyTopology, q: int) -> ForwardingTable:
+    """The first q ports of every destination z in the order
+    (dist[z ^ h_p] - dist[z], p), from one BFS and a stable sort of that
+    key over _TABLE_CHUNK destinations at a time.  Selector 1 is the lowest
+    closer port, and a destination's q ports are distinct.
 
-    With full diversity, the q entries of one destination use q distinct
-    egress ports (the paths are edge-disjoint already at the source).
-    Vertex symmetry lets one distance vector and one set of step lists
-    serve every destination.
-    Refuses, before any search, tables of more than MAX_WALK_SEARCHES
-    (destination, selector) entries.
+    Refuses, before the BFS, tables of more than MAX_TABLE_ENTRIES q * N
+    entries.
     """
     _check_diversity(t, q)
-    searches = (t.N - 1) * q
-    if searches > MAX_WALK_SEARCHES:
+    dtype = np.min_scalar_type(t.m)
+    if q * t.N > MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"a forwarding table at d={t.d}, q={q} needs {searches} walk searches,"
-            f" about {searches * _SEARCH_SECONDS:.0f} s; the budget is {MAX_WALK_SEARCHES}"
+            f"a forwarding table at d={t.d}, q={q} needs a {q * t.N * dtype.itemsize}-byte"
+            f" port array (q*N = {q * t.N} entries); the cap is {MAX_TABLE_ENTRIES} entries"
         )
-    steps = _StepLists(t, hop_distances(t))
-    steps.fill()   # the searches visit every node
-    firsts = [
-        [path[0] for path in _disjoint_paths(t, yrel, q, extra_length, steps)]
-        for yrel in range(1, t.N)
-    ]
-    ports = np.zeros((q, t.N), dtype=np.min_scalar_type(t.m))
-    ports[:, 1:] = np.array(firsts, dtype=ports.dtype).T
+    dist = hop_distances(t)
+    ports = np.zeros((q, t.N), dtype=dtype)
+    hops = np.array(t.hops, dtype=np.intp)   # the index dtype numpy gathers with
+    for lo in range(0, t.N, _TABLE_CHUNK):
+        z = np.arange(lo, min(lo + _TABLE_CHUNK, t.N), dtype=np.intp)
+        key = dist[z[:, None] ^ hops]   # in {dist[z] - 1, dist[z], dist[z] + 1}
+        key += 1
+        key -= dist[z, None]
+        ports[:, lo:lo + len(z)] = np.argsort(key, axis=1, kind="stable")[:, :q].T + 1
+    ports[:, 0] = 0   # destination 0 (self) has no entry
     return ForwardingTable(d=t.d, q=q, ports=ports)
 
 

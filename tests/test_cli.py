@@ -297,17 +297,36 @@ class TestFtableClusterVerify:
         assert lines[0] == "selector,destination,egress_port"
         assert len(lines) == 1 + 7 * 2
 
-    @pytest.mark.parametrize("d,q", [(19, 1), (24, 4)])
-    def test_ftable_refused_above_budget(self, capsys, tmp_path, d, q):
+    @pytest.mark.parametrize("d,q", [(25, 1), (24, 5), (22, 17)])
+    def test_ftable_refused_above_budget(self, capsys, tmp_path, monkeypatch, d, q):
+        # d = 25 by the dimension cap of routes, the others by q * N > 2^26
         path = tmp_path / "big.hops"
         path.write_text(topology.emit_hopset(topology.build(d, [1 << i for i in range(d)])))
+
+        def no_bfs(t):
+            raise AssertionError("the BFS ran")
+
+        monkeypatch.setattr(topology, "hop_distances", no_bfs)
+        monkeypatch.setattr(routing, "hop_distances", no_bfs)
         began = time.perf_counter()
         code, out, err = run(capsys, ["ftable", str(path), "--diversity", str(q)])
-        assert time.perf_counter() - began < 0.5   # refused before the BFS or any search
+        assert time.perf_counter() - began < 0.5
         assert code == 1 and out == ""
-        searches = ((1 << d) - 1) * q
-        assert f"d={d}, q={q} needs {searches} walk searches, about" in err
-        assert f"the budget is {routing.MAX_WALK_SEARCHES}" in err
+        if d > topology.DEFAULT_MAX_D:
+            assert err == f"error: d={d} exceeds the full-spectrum cap 24\n"
+        else:
+            assert f"d={d}, q={q} needs a {q << d}-byte port array" in err
+            assert f"the cap is {routing.MAX_TABLE_ENTRIES} entries" in err
+
+    def test_ftable_diversity_1_at_d19(self, capsys, tmp_path):
+        # the header and one row for each of the 2^19 - 1 destinations
+        path = tmp_path / "d19.hops"
+        path.write_text(topology.emit_hopset(topology.build(19, [1 << i for i in range(19)])))
+        csv = tmp_path / "d19.csv"
+        code, out, err = run(capsys, ["ftable", str(path), "--diversity", "1", "-o", str(csv)])
+        assert code == 0 and out == err == ""
+        with open(csv, "rb") as f:
+            assert sum(1 for _ in f) == 1 << 19
 
     def test_cluster(self, capsys, folded3_file):
         code, out, _ = run(capsys, ["cluster", folded3_file, "--levels", "1"])

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longhop import codes, gf2, routing
-from longhop.construct import code_to_network
+from longhop import gf2, routing
 from longhop.routing import (
     Unroutable,
     disjoint_paths,
@@ -20,7 +19,7 @@ from longhop.routing import (
 )
 from longhop.topology import build, distances, hop_distances
 
-from conftest import DATA, folded_cube, hypercube, random_topology
+from conftest import folded_cube, hypercube, random_topology
 
 
 def xor_of(t, path):
@@ -61,6 +60,36 @@ def oracle_disjoint_paths(t, walks, yrel, q, extra_length):
                 if len(chosen) == q:
                     return chosen
     return len(chosen)
+
+
+def oracle_dist(t):
+    """Hop distances from node 0 by a plain breadth-first search."""
+    dist, frontier = {0: 0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for h in t.hops:
+                if x ^ h not in dist:
+                    dist[x ^ h] = dist[x] + 1
+                    nxt.append(x ^ h)
+        frontier = nxt
+    return [dist[z] for z in range(t.N)]
+
+
+def oracle_first_hops(t, dist, yrel, q):
+    """The first q ports in the order (dist[yrel ^ h_p] - dist[yrel], p)."""
+    ports = range(1, t.m + 1)
+    return sorted(ports, key=lambda p: (dist[yrel ^ t.hops[p - 1]] - dist[yrel], p))[:q]
+
+
+def oracle_table_csv(t, q):
+    """forwarding_table(t, q)'s CSV, from oracle_first_hops."""
+    dist = oracle_dist(t)
+    rows = {yrel: oracle_first_hops(t, dist, yrel, q) for yrel in range(1, t.N)}
+    return "selector,destination,egress_port\n" + "".join(
+        f"{s},{yrel:0{t.d}b},{rows[yrel][s - 1]}\n"
+        for s in range(1, q + 1) for yrel in range(1, t.N)
+    )
 
 
 def record_step_lists(monkeypatch):
@@ -112,7 +141,6 @@ def test_disjoint_paths_and_table_match_oracle(case):
         walks.append(oracle_walks(t, len(walks)))
     for _ in range(extra_length):
         walks.append(oracle_walks(t, len(walks)))
-    rows = []
     for yrel in range(1, t.N):
         expected = oracle_disjoint_paths(t, walks, yrel, q, extra_length)
         if isinstance(expected, int):
@@ -121,14 +149,8 @@ def test_disjoint_paths_and_table_match_oracle(case):
             assert exc.value.achievable == expected
         else:
             assert disjoint_paths(t, yrel, q, extra_length=extra_length) == expected
-            rows += [(s, yrel, path[0]) for s, path in enumerate(expected, 1)]
-    if len(rows) < q * (t.N - 1):
-        with pytest.raises(Unroutable):
-            forwarding_table(t, q, extra_length=extra_length)
-        return
-    csv = "".join(f"{s},{yrel:0{t.d}b},{port}\n" for s, yrel, port in sorted(rows))
-    table = forwarding_table(t, q, extra_length=extra_length)
-    assert "".join(table.csv_blocks()) == "selector,destination,egress_port\n" + csv
+    # the table has no length cap and no Unroutable: q <= m distinct ports exist
+    assert "".join(forwarding_table(t, q).csv_blocks()) == oracle_table_csv(t, q)
 
 
 class TestStepLists:
@@ -149,41 +171,12 @@ class TestStepLists:
                     ]
                 assert len(steps) == t.N
 
-    def test_fill_matches_missing_every_node(self):
-        rng = random.Random(13)
-        for d in range(1, 10):
-            for _ in range(3):
-                t = random_topology(rng, d, rng.randint(d, min(d + 6, (1 << d) - 1)))
-                dist = hop_distances(t)
-                filled = routing._StepLists(t, dist)
-                filled.fill()
-                lazy = routing._StepLists(t, dist)
-                assert len(filled) == t.N - 1
-                assert filled == {z: lazy[z] for z in range(1, t.N)}
-
-    def test_fill_spans_split_nodes(self, monkeypatch):
-        # spans of one node (also when _FILL_ENTRIES is below m), of a few
-        # nodes with a short last span, and of the whole table
-        t = random_topology(random.Random(14), 7, 12)
-        dist = hop_distances(t)
-        lazy = routing._StepLists(t, dist)
-        expected = {z: lazy[z] for z in range(1, t.N)}
-        for entries in (1, 12, 50, 1 << 20):
-            monkeypatch.setattr(routing, "_FILL_ENTRIES", entries)
-            filled = routing._StepLists(t, dist)
-            filled.fill()
-            assert filled == expected
-
     def test_more_than_255_ports_pack_tuples(self):
         t = random_topology(random.Random(9), 9, 300)
         dist = hop_distances(t)
         steps = routing._StepLists(t, dist)
         assert steps.every == tuple(range(1, 301))
         assert all(type(row) is tuple for row in steps[0b101])
-        filled = routing._StepLists(t, dist)
-        filled.fill()
-        assert filled == {z: steps[z] for z in range(1, t.N)}
-        assert all(type(row) is tuple for rows in filled.values() for row in rows)
         table = forwarding_table(t, 1)
         assert table.ports.dtype == np.uint16 and table.ports.max() > 255
         expected = "".join(
@@ -235,24 +228,6 @@ class TestStepLists:
         search, query = peaks
         assert np.shares_memory(np.frombuffer(made[0].dist, dtype=np.uint8), vectors[0])
         assert query < t.N + search + t.N // 4
-
-    def test_full_table_cache_is_compact(self, monkeypatch):
-        # a whole g48 table fills a row for every node; each row is two short
-        # byte strings, so the cache stays under 2.5 MiB (about 0.23 KiB a row)
-        t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
-        made = record_step_lists(monkeypatch)
-        tracemalloc.start()
-        try:
-            forwarding_table(t, 1)
-            with_cache = tracemalloc.get_traced_memory()[0]
-            rows = len(made[0])
-            made.clear()
-            without_cache = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert rows == t.N - 1
-        assert with_cache - without_cache < 2.5 * 2**20
-
 
 class TestShortestPaths:
     def test_factorial_count(self, cube3):
@@ -377,21 +352,6 @@ class TestDisjointPaths:
                     descent = routing._disjoint_paths(t, yrel, 1, 0, steps)
                     assert descent == [shortest_paths(t, yrel)[0]], (t.hops, yrel)
 
-    def test_whole_table_calls_path_edges_once_per_destination(self, monkeypatch):
-        # g48 at q = 4: path 1's edges come from path_edges, the walk search
-        # records the other paths' edges itself, so 8191 calls in all
-        t = code_to_network(codes.parse_generator((DATA / "g48_13_16.txt").read_text()))
-        calls = 0
-
-        def count(t, path, start=0):
-            nonlocal calls
-            calls += 1
-            return path_edges(t, path, start)
-
-        monkeypatch.setattr(routing, "path_edges", count)
-        forwarding_table(t, 4)
-        assert calls == t.N - 1 == 8191
-
     def test_diversity_bounds(self, cube3):
         with pytest.raises(ValueError):
             disjoint_paths(cube3, 1, 0)
@@ -453,13 +413,57 @@ class TestForwardingTable:
                     assert simulate_forwarding(t, table, x, y, s)[-1] == y
 
     def test_matches_per_destination_disjoint_paths(self):
-        t = random_topology(random.Random(6), 6, 10)
-        q = 3
-        ports = np.zeros((q, t.N), dtype=np.uint8)
-        for yrel in range(1, t.N):
-            ports[:, yrel] = [path[0] for path in disjoint_paths(t, yrel, q)]
-        expected = routing.ForwardingTable(d=t.d, q=q, ports=ports).csv_blocks()
-        assert list(forwarding_table(t, q).csv_blocks()) == list(expected)
+        # selector 1 is the first hop of disjoint path 1, the lexicographically
+        # first shortest path; every selector is the closed form's port
+        rng = random.Random(6)
+        for d in range(2, 8):
+            t = random_topology(rng, d, rng.randint(d, min(d + 5, (1 << d) - 1)))
+            dist = oracle_dist(t)
+            for q in range(1, t.m + 1):
+                table = forwarding_table(t, q)
+                for yrel in range(1, t.N):
+                    expected = oracle_first_hops(t, dist, yrel, q)
+                    assert table.ports[:, yrel].tolist() == expected, (t.hops, q, yrel)
+                    if q == 1:
+                        assert expected == [disjoint_paths(t, yrel, 1)[0][0]], (t.hops, yrel)
+
+    def test_forwarded_routes_converge(self):
+        # every selector arrives within dist + 2 hops, selector 1 in exactly
+        # dist, and a destination's q first hops are distinct; a table at
+        # q < m is the first q rows of the one at q = m
+        rng = random.Random(41)
+        for d in range(2, 8):
+            t = random_topology(rng, d, rng.randint(min(d + 1, (1 << d) - 1), min(d + 4, (1 << d) - 1)))
+            dist = oracle_dist(t)
+            full = forwarding_table(t, t.m)
+            for q in range(1, t.m + 1):
+                ports = forwarding_table(t, q).ports
+                assert (ports == full.ports[:q]).all(), (t.hops, q)
+                assert all(len(set(ports[:, yrel].tolist())) == q for yrel in range(1, t.N))
+            for x in range(t.N):
+                for y in range(t.N):
+                    if x == y:
+                        continue
+                    for s in range(1, t.m + 1):
+                        hops = len(simulate_forwarding(t, full, x, y, s)) - 1
+                        if s == 1:
+                            assert hops == dist[x ^ y], (t.hops, x, y)
+                        else:
+                            assert hops <= dist[x ^ y] + 2, (t.hops, x, y, s)
+
+    def test_entry_cap_refused_before_bfs(self, folded3, monkeypatch):
+        # q * N = 2 * 8 entries: refused one below, built at the cap
+        def no_bfs(t):
+            raise AssertionError("hop_distances ran before the cap was checked")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "MAX_TABLE_ENTRIES", 15)
+            mp.setattr(routing, "hop_distances", no_bfs)
+            with pytest.raises(ValueError, match=r"needs a 16-byte port array \(q\*N = 16"
+                                                 r" entries\); the cap is 15 entries"):
+                forwarding_table(folded3, 2)
+        monkeypatch.setattr(routing, "MAX_TABLE_ENTRIES", 16)
+        assert forwarding_table(folded3, 2).ports.shape == (2, 8)
 
     def test_bad_diversity_rejected_before_bfs(self, cube3, monkeypatch):
         def no_bfs(t):
@@ -469,19 +473,6 @@ class TestForwardingTable:
         for q in (0, cube3.m + 1):
             with pytest.raises(ValueError, match="diversity"):
                 forwarding_table(cube3, q)
-
-    def test_walk_search_budget(self, folded3, monkeypatch):
-        # (N - 1) * q = 7 * 2 searches: refused one below, built at the budget
-        def no_bfs(t):
-            raise AssertionError("hop_distances ran before the budget was checked")
-
-        with monkeypatch.context() as mp:
-            mp.setattr(routing, "MAX_WALK_SEARCHES", 13)
-            mp.setattr(routing, "hop_distances", no_bfs)
-            with pytest.raises(ValueError, match="needs 14 walk searches, about 0 s; the budget is 13"):
-                forwarding_table(folded3, 2)
-        monkeypatch.setattr(routing, "MAX_WALK_SEARCHES", 14)
-        assert forwarding_table(folded3, 2).ports.shape == (2, 8)
 
     def test_csv_blocks(self, monkeypatch):
         # rows stream in runs of at most gf2.TEXT_ROWS, selector by selector,
