@@ -69,21 +69,25 @@ def _output(out: str | None) -> Iterator[TextIO]:
         raise
 
 
-def _load_topology(path: str, allow_large: bool) -> tuple[topology.CayleyTopology, int]:
-    t = topology.parse_hopset(_read(path))
-    max_d = topology.HARD_MAX_D if allow_large else topology.DEFAULT_MAX_D
-    return t, max_d
+def _check_cap(d: int, allow_large: bool) -> None:
+    """The cap of the commands that write 2**d rows (bisect --spectrum,
+    cluster) or run verify's checks, which --allow-large lifts."""
+    if d > topology.DEFAULT_MAX_D and not allow_large:
+        raise ValueError(f"d={d} exceeds the full-spectrum cap {topology.DEFAULT_MAX_D};"
+                         " --allow-large lifts it")
 
 
 def _cmd_bisect(args) -> int:
-    t, max_d = _load_topology(args.hopfile, args.allow_large)
+    t = topology.parse_hopset(_read(args.hopfile))
+    if args.spectrum:
+        _check_cap(t.d, args.allow_large)
     with _output(args.output) as f:
-        f.writelines(_bisect_text(t, max_d, args))
+        f.writelines(_bisect_text(t, args))
     return 0
 
 
-def _bisect_text(t: topology.CayleyTopology, max_d: int, args) -> Iterator[str]:
-    result = topology.bisection_scan(t, max_d=max_d)
+def _bisect_text(t: topology.CayleyTopology, args) -> Iterator[str]:
+    result = topology.bisection_scan(t)
     shown = [gf2.word_to_text(r, t.d) for r in result.argmin_rs]
     extra = result.argmin_count - len(shown)
     if args.format == "json":
@@ -136,11 +140,9 @@ def _render_json_spectrum(t: topology.CayleyTopology) -> Iterator[str]:
 
 
 def _cmd_mindist(args) -> int:
-    if args.limit > topology.HARD_MAX_D:
-        raise ValueError(f"--limit must be at most {topology.HARD_MAX_D}, got {args.limit}")
     g = codes.parse_generator(_read(args.genfile))
     with _output(args.output) as f:
-        delta = codes.min_distance(g, limit=args.limit)
+        delta = codes.min_distance(g)
         if args.format == "json":
             f.write(json.dumps({"n": g.n, "k": g.k, "min_distance": delta}, indent=2) + "\n")
         else:
@@ -180,8 +182,7 @@ def _cmd_optimize(args) -> int:
                     f" expected (d={args.d}, m={args.m})"
                 )
         else:
-            # before any word is built
-            topology.check_cap(args.d, topology.DEFAULT_MAX_D, liftable=False)
+            topology.check_cap(args.d)   # before any word is built
             if args.m < args.d:
                 raise ValueError(f"m={args.m} must be at least d={args.d}")
             if args.m - args.d > (1 << args.d) - 1 - args.d:
@@ -215,8 +216,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_routes(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
-    # before the N-byte distance vector
-    topology.check_cap(t.d, topology.DEFAULT_MAX_D, liftable=False)
+    topology.check_cap(t.d)   # before the N-byte distance vector
     src = gf2.word_from_text(args.src) if args.src else 0
     dst = gf2.word_from_text(args.dest)
     if not 0 <= src < t.N:
@@ -246,16 +246,17 @@ def _cmd_routes(args) -> int:
 def _cmd_ftable(args) -> int:
     t = topology.parse_hopset(_read(args.hopfile))
     # before the N-byte distance vector; forwarding_table caps q * N itself
-    topology.check_cap(t.d, topology.DEFAULT_MAX_D, liftable=False)
+    topology.check_cap(t.d)
     with _output(args.output) as f:
         f.writelines(routing.forwarding_table(t, args.diversity).csv_blocks())
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    t, max_d = _load_topology(args.hopfile, args.allow_large)
+    t = topology.parse_hopset(_read(args.hopfile))
+    _check_cap(t.d, args.allow_large)
     with _output(args.output) as f:
-        clustering = topology.cluster(t, args.levels, max_d=max_d)
+        clustering = topology.cluster(t, args.levels)
         # the labels in runs of n nodes: x = lo + y, y < n, has label(lo) XOR label(y)
         n = min(gf2.TEXT_ROWS, t.N)
         first = clustering.labels(0, n)
@@ -324,8 +325,8 @@ def _cmd_verify(args) -> int:
         links = topology.bisection_bruteforce(edges, n)
         out.write(f"bruteforce_bisection_links: {links}\n")
         return 0
-    t, max_d = _load_topology(args.hopfile, args.allow_large)
-    topology.check_cap(t.d, max_d)
+    t = topology.parse_hopset(_read(args.hopfile))
+    _check_cap(t.d, args.allow_large)
     _check_verify_budget(t)
     agree = True
 
@@ -367,9 +368,9 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _allow_large_args(p: _Parser) -> None:
+def _allow_large_args(p: _Parser, what: str = "") -> None:
     p.add_argument("--allow-large", action="store_true",
-                   help=f"lift the d <= {topology.DEFAULT_MAX_D} full-spectrum cap")
+                   help=f"lift the d <= {topology.DEFAULT_MAX_D} full-spectrum cap{what}")
 
 
 def _output_args(p: _Parser) -> None:
@@ -382,14 +383,12 @@ def _bisect_args(p: _Parser) -> None:
     p.add_argument("--method", choices=["scan"], default="scan")
     p.add_argument("--spectrum", action="store_true", help="print all cuts and eigenvalues")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _allow_large_args(p)
+    _allow_large_args(p, " on --spectrum")
     _output_args(p)
 
 
 def _mindist_args(p: _Parser) -> None:
     p.add_argument("genfile")
-    p.add_argument("--limit", type=int, default=codes.DEFAULT_EXHAUSTION_LIMIT,
-                   help="refuse exhaustive search beyond this k")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("-o", "--output", default=None)
 

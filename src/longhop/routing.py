@@ -322,12 +322,14 @@ def simulate_forwarding(
 
     The selector picks the first egress; subsequent hops use selector 1,
     whose entries follow shortest paths and therefore strictly reduce the
-    remaining distance.
+    remaining distance.  The first hop leaves at most dist + 1 to go, and
+    a spanning hop set has diameter at most d, so a walk arrives within
+    d + 2 steps, the default max_steps.
     """
     if x == y:
         raise ValueError("source equals destination")
     if max_steps is None:
-        max_steps = t.N + DEFAULT_EXTRA_LENGTH + 1
+        max_steps = t.d + 2
     trace = [x]
     node = x
     selector = s

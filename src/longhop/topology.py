@@ -70,7 +70,7 @@ __all__ = [
     "MAX_LISTED_ARGMIN",
 ]
 
-DEFAULT_MAX_D = 24   # full-spectrum scans above this are refused unless overridden
+DEFAULT_MAX_D = 24   # check_cap refuses d above this where something is N-sized
 HARD_MAX_D = 32      # words are 32-bit at most
 MAX_LISTED_ARGMIN = 64   # minimizers a Bisection lists; it counts them all
 
@@ -147,14 +147,12 @@ def cut_walsh(t: CayleyTopology, r: int) -> int:
     return sum((r & h).bit_count() & 1 for h in t.hops)
 
 
-def check_cap(d: int, max_d: int, *, liftable: bool = True) -> None:
-    """Refuse a dimension above min(max_d, HARD_MAX_D) with a ValueError.
-    The message names the ways to lift the cap unless `liftable` is false,
-    as for the commands that have no --allow-large."""
-    cap = min(max_d, HARD_MAX_D)
-    if d > cap:
-        lift = "; bisect, cluster and verify lift it with --allow-large (library: max_d)"
-        raise ValueError(f"d={d} exceeds the full-spectrum cap {cap}" + (lift if liftable else ""))
+def check_cap(d: int) -> None:
+    """Refuse a dimension above DEFAULT_MAX_D with a ValueError, before
+    something N-sized is built: bisection_fwht's N-entry cuts, or the
+    N-byte distance vector of the routes and ftable commands."""
+    if d > DEFAULT_MAX_D:
+        raise ValueError(f"d={d} exceeds the full-spectrum cap {DEFAULT_MAX_D}")
 
 
 def cut_chunks(t: CayleyTopology) -> Iterator[np.ndarray]:
@@ -217,22 +215,21 @@ def reduce_cuts(chunks: Iterable[np.ndarray]) -> Bisection:
     return Bisection(N=lo, b=b, argmin_count=count, argmin_rs=tuple(listed))
 
 
-def bisection_scan(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> Bisection:
+def bisection_scan(t: CayleyTopology) -> Bisection:
     """Exact bisection reduced from cut_chunks, chunk by chunk: about 0.015 s
-    at d = 24, 0.2 s at d = 28 and 5 s at d = 32, m = 64, on a 2-vCPU VM,
-    and O(2**16) memory at any d."""
-    check_cap(t.d, max_d)
+    at d = 24, 0.2 s at d = 28 and 3 s at d = 32, m = 64, on a 2-vCPU VM,
+    and O(2**16) memory at any d, so no d up to HARD_MAX_D is refused."""
     return reduce_cuts(cut_chunks(t))
 
 
-def bisection_fwht(t: CayleyTopology, *, max_d: int = DEFAULT_MAX_D) -> np.ndarray:
+def bisection_fwht(t: CayleyTopology) -> np.ndarray:
     """The cuts of r = 0 .. N-1 from walsh_chunks, placed in one N-entry
     int64 array; b is its minimum over r > 0.
 
     The Walsh-Hadamard oracle of the popcount engine (cut_chunks), and the
     whole spectrum the greedy search scores its candidates from.
     """
-    check_cap(t.d, max_d)
+    check_cap(t.d)   # before the 8N-byte array
     cuts = np.empty(t.N, dtype=np.int64)
     lo = 0
     for chunk in walsh_chunks(t):
@@ -515,7 +512,7 @@ class Clustering:
         return labels
 
 
-def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> Clustering:
+def cluster(t: CayleyTopology, levels: int) -> Clustering:
     """Recursive equal-halves clustering along minimum Walsh cuts.
 
     Each level splits every current cell in half along a Walsh partition:
@@ -534,12 +531,10 @@ def cluster(t: CayleyTopology, levels: int, *, max_d: int = DEFAULT_MAX_D) -> Cl
 
     Returns the chosen indices as a Clustering, whose 2**levels labels
     are equally populated; no N-entry array is built, and each level holds
-    O(2**L) memory.  The cap stays because the labels are read out for
-    all 2**d nodes.
+    O(2**L) memory at any d.
     """
     if not 0 <= levels <= t.d:
         raise ValueError(f"levels must be in 0..{t.d}, got {levels}")
-    check_cap(t.d, max_d)
     low = min(t.d, gf2._TABLE_BITS)   # the chunk layout of gf2.codeword_weights
     used: list[int] = []
     pivots: list[tuple[int, int]] = []   # (highest bit of r >> low, span vector r), descending

@@ -124,18 +124,16 @@ class TestMindist:
         assert code == 0
         assert "min_distance: 3" in out and "n: 7" in out and "k: 4" in out
 
-    def test_limit_refusal(self, capsys):
-        code, _, err = run(
-            capsys, ["mindist", str(DATA / "hamming_7_4.txt"), "--limit", "3"]
-        )
-        assert code == 1 and "refus" in err
+    def test_limit_refusal(self, capsys, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the codeword weights were enumerated")
 
-    @pytest.mark.parametrize("limit,code", [("33", 1), ("32", 0)])
-    def test_limit_capped_at_hard_max_d(self, capsys, limit, code):
-        got, out, err = run(capsys, ["mindist", str(DATA / "hamming_7_4.txt"), "--limit", limit])
-        assert got == code
-        assert ("min_distance: 3" in out) == (code == 0)
-        assert ("--limit must be at most 32" in err) == (code == 1)
+        monkeypatch.setattr(gf2, "codeword_weights", no_work)
+        path = tmp_path / "k33.txt"
+        path.write_text("".join("0" * i + "1" + "0" * (32 - i) + "\n" for i in range(33)))
+        code, out, err = run(capsys, ["mindist", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: k=33 exceeds the exhaustive-search cap 32; refusing\n"
 
 
 class TestConvert:
@@ -805,10 +803,14 @@ class TestNarrowParser:
     def test_cap_refusal_names_the_flag(self, capsys, tmp_path):
         path = tmp_path / "d25.hops"
         path.write_text(topology.emit_hopset(topology.build(25, [1 << i for i in range(25)])))
-        code, out, err = run(capsys, ["bisect", str(path)])
-        assert code == 1 and out == ""
-        assert err == ("error: d=25 exceeds the full-spectrum cap 24;"
-                       " bisect, cluster and verify lift it with --allow-large (library: max_d)\n")
+        rows = tmp_path / "rows.txt"
+        for argv in (["bisect", str(path), "--spectrum", "-o", str(rows)],
+                     ["cluster", str(path), "--levels", "1", "-o", str(rows)],
+                     ["verify", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert err == "error: d=25 exceeds the full-spectrum cap 24; --allow-large lifts it\n"
+            assert not rows.exists()
         flagged = []
         for name, (_, add_args, _) in cli._COMMANDS.items():
             parser = argparse.ArgumentParser()
@@ -817,12 +819,31 @@ class TestNarrowParser:
                 flagged.append(name)
         assert flagged == ["bisect", "cluster", "verify"]
 
+    def test_plain_bisect_is_not_capped(self, capsys, tmp_path):
+        # the scan streams its cuts, so d = 25 runs without a flag; b is the code's distance
+        d, rng = 25, random.Random(25)
+        hops = [1 << i for i in range(d)]
+        while len(hops) < 40:
+            w = rng.getrandbits(d)
+            if w & (w - 1) and w not in hops:
+                hops.append(w)
+        path, genfile = tmp_path / "d25.hops", tmp_path / "d25.txt"
+        path.write_text(topology.emit_hopset(topology.build(d, hops)))
+        code, out, err = run(capsys, ["bisect", str(path)])
+        assert (code, err) == (0, "")
+        assert run(capsys, ["convert", "--to-code", str(path), "-o", str(genfile)])[0] == 0
+        code, mindist, _ = run(capsys, ["mindist", str(genfile)])
+        assert code == 0
+        b = out.split("\nb: ")[1].split()[0]
+        assert f"min_distance: {b}\n" in mindist
+
     @pytest.mark.parametrize("argv", [
         ["routes", "HOPS", "--dest", "1" * 25, "--diversity", "4"],
         ["optimize", "-d", "25", "-m", "30", "--method", "greedy"],
-    ], ids=["routes", "greedy-default-start"])
+        ["optimize", "-d", "25", "-m", "25", "--method", "greedy", "--start", "HOPS"],
+    ], ids=["routes", "greedy-default-start", "greedy-start"])
     def test_cap_refusal_without_the_flag_names_the_limit(self, capsys, tmp_path, argv):
-        # neither command takes --allow-large, so the message names no way to lift the cap
+        # none of these commands takes --allow-large, so the message names no way to lift the cap
         path = tmp_path / "d25.hops"
         path.write_text(topology.emit_hopset(topology.build(25, [1 << i for i in range(25)])))
         code, out, err = run(capsys, [str(path) if a == "HOPS" else a for a in argv])

@@ -85,10 +85,14 @@ class TestMinDistance:
         g = GeneratorMatrix(k=5, n=5, rows=tuple(1 << i for i in range(5)))
         assert codes.min_distance(g) == 1
 
-    def test_refuses_beyond_limit(self):
-        g = GeneratorMatrix(k=5, n=5, rows=tuple(1 << i for i in range(5)))
-        with pytest.raises(ValueError, match="refus"):
-            codes.min_distance(g, limit=4)
+    def test_refuses_beyond_limit(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the codeword weights were enumerated")
+
+        monkeypatch.setattr(gf2, "codeword_weights", no_work)
+        g = GeneratorMatrix(k=33, n=33, rows=tuple(1 << i for i in range(33)))
+        with pytest.raises(ValueError, match="k=33 exceeds the exhaustive-search cap 32"):
+            codes.min_distance(g)
 
     @pytest.mark.parametrize("table_bits", [0, 1, 3, 20])
     @given(generators_with_repeats())

@@ -330,9 +330,18 @@ class TestBisection:
         assert cuts.tolist() == scalar_cuts(t)
 
     def test_cap_refused(self):
-        t = hypercube(10)
-        with pytest.raises(ValueError, match="cap"):
-            bisection_scan(t, max_d=9)
+        # bisection_fwht would fill an 8N-byte array: refused before it
+        # allocates; the scan streams its cuts, so it runs at d = 25
+        t = hypercube(25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^d=25 exceeds the full-spectrum cap 24$"):
+                bisection_fwht(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert bisection_scan(t).b == 1
 
     def test_multi_chunk_scan_identical(self, monkeypatch):
         # one chunk per 2**2-entry table block: 64 chunks
