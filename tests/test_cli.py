@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import operator
 import os
@@ -134,6 +135,25 @@ class TestMindist:
         code, out, err = run(capsys, ["mindist", str(path)])
         assert (code, out) == (1, "")
         assert err == "error: k=33 exceeds the exhaustive-search cap 32; refusing\n"
+
+    @pytest.mark.parametrize("k,code", [(33, 1), (32, 0)])
+    def test_limit_capped_at_hard_max_d(self, capsys, tmp_path, monkeypatch, k, code):
+        # the cap sits at HARD_MAX_D = 32: k=32 reaches the enumeration (cut to its
+        # first chunk, which holds a unit vector's weight 1), k=33 is refused before it
+        enumerated, whole = [], gf2.codeword_weights
+
+        def first_chunk(rows, n):
+            enumerated.append(len(rows))
+            return itertools.islice(whole(rows, n), 1)
+
+        monkeypatch.setattr(gf2, "codeword_weights", first_chunk)
+        path = tmp_path / f"k{k}.txt"
+        path.write_text("".join("0" * i + "1" + "0" * (k - 1 - i) + "\n" for i in range(k)))
+        got, out, err = run(capsys, ["mindist", str(path)])
+        assert got == code
+        assert enumerated == ([32] if code == 0 else [])
+        assert ("min_distance: 1" in out and "k: 32" in out) == (code == 0)
+        assert ("exceeds the exhaustive-search cap 32" in err) == (code == 1)
 
 
 class TestConvert:
