@@ -78,6 +78,8 @@ def _check_cap(d: int, allow_large: bool) -> None:
 
 
 def _cmd_bisect(args) -> int:
+    if args.allow_large and not args.spectrum:   # plain bisect streams at any d: nothing to lift
+        raise ValueError("--allow-large applies only to --spectrum")
     t = topology.parse_hopset(_read(args.hopfile))
     if args.spectrum:
         _check_cap(t.d, args.allow_large)
@@ -298,7 +300,9 @@ def _cmd_compare(args) -> int:
 # to take more than _VERIFY_BUDGET_S: _MOVE_S per bitmap word that
 # crossing_links moves (_VERIFY_PARTITIONS * m * N/64) plus _BUTTERFLY_S per
 # butterfly of walsh_chunks' transforms (N * min(d, 16)), as measured at
-# d = 22..24, m = 64 on a 2-vCPU VM (d = 24: 28 s in all).
+# d = 22..24, m = 64 on a 2-vCPU VM when each hop permuted its own moved
+# words.  A moved word now costs about 4 ns, so the estimate is high
+# (d = 24: 5.5-5.9 s in all).
 _VERIFY_PARTITIONS = 64
 _VERIFY_BUDGET_S = 60
 _MOVE_S = 2.5e-8

@@ -282,9 +282,10 @@ class ForwardingTable:
 
 def forwarding_table(t: CayleyTopology, q: int) -> ForwardingTable:
     """The first q ports of every destination z in the order
-    (dist[z ^ h_p] - dist[z], p), from one BFS and a stable sort of that
-    key over _TABLE_CHUNK destinations at a time.  Selector 1 is the lowest
-    closer port, and a destination's q ports are distinct.
+    (dist[z ^ h_p] - dist[z], p), from one BFS and a sort of that key as
+    one number per port, over _TABLE_CHUNK destinations at a time.
+    Selector 1 is the lowest closer port, and a destination's q ports are
+    distinct.
 
     Refuses, before the BFS, tables of more than MAX_TABLE_ENTRIES q * N
     entries.
@@ -299,12 +300,16 @@ def forwarding_table(t: CayleyTopology, q: int) -> ForwardingTable:
     dist = hop_distances(t)
     ports = np.zeros((q, t.N), dtype=dtype)
     hops = np.array(t.hops, dtype=np.intp)   # the index dtype numpy gathers with
+    wide = np.promote_types(np.uint16, np.min_scalar_type(3 * t.m - 1))   # numpy sorts uint8 rows far slower
+    port = np.arange(t.m, dtype=wide)
     for lo in range(0, t.N, _TABLE_CHUNK):
         z = np.arange(lo, min(lo + _TABLE_CHUNK, t.N), dtype=np.intp)
-        key = dist[z[:, None] ^ hops]   # in {dist[z] - 1, dist[z], dist[z] + 1}
+        key = dist[z[:, None] ^ hops].astype(wide)   # in {dist[z] - 1, dist[z], dist[z] + 1}
         key += 1
         key -= dist[z, None]
-        ports[:, lo:lo + len(z)] = np.argsort(key, axis=1, kind="stable")[:, :q].T + 1
+        key *= t.m
+        key += port   # (key, p) as one number below 3 * m: no two ports tie
+        ports[:, lo:lo + len(z)] = (np.sort(key, axis=1)[:, :q] % t.m).T + 1
     ports[:, 0] = 0   # destination 0 (self) has no entry
     return ForwardingTable(d=t.d, q=q, ports=ports)
 

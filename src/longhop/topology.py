@@ -4,15 +4,17 @@ Nodes are the integers 0..N-1 with N = 2**d.  Port s (1-based) at node x
 leads to x XOR hops[s-1].  Adjacency is never materialized: callers XOR a
 node with the hops themselves.  Breadth-first search works on bit-packed
 node sets, N/8 bytes each.  It grows a sparse level from its listed nodes
-and any other by moving the frontier along each hop with word-level XOR
-arithmetic, into only the words that still hold unvisited nodes.  Its
-bitmaps and move temporaries are a few N/8-byte arrays whatever m is:
-under tracemalloc, distances peaks at 1.31 N bytes at N = 2**20 and
-1.13 N at N = 2**24 (m = 64).  distances only popcounts each level: at
-N = 2**24, m = 64 it takes about 0.7-1.9 s and 48 MiB peak RSS on a
-2-vCPU VM.  hop_distances fills an N-byte vector
-from it, unpacking each level's bitmap 2**16 nodes at a time, so the
-vector is its one N-byte array: about 0.9-1.3 s and 64 MiB there.
+and any other by moving the frontier along each hop, into only the words
+that still hold unvisited nodes: a copy of the frontier is permuted
+in-word once per group of hops that share an in-word pattern, and each
+hop is then one word gather.  Its bitmaps and move temporaries are a few
+N/8-byte arrays whatever m is: under tracemalloc, distances peaks at
+1.15 N bytes at N = 2**20 and 1.13 N at N = 2**24 (m = 64).  distances
+only popcounts each level: at N = 2**24, m = 64 it takes about 0.23 to
+0.29 s and 48 MiB peak RSS on a 2-vCPU VM.  hop_distances fills an
+N-byte vector from it, unpacking each level's bitmap 2**16 nodes at a
+time, so the vector is its one N-byte array: about 0.5 s and 64 MiB
+there.
 
 The normalized bisection b of such a graph is the minimum over r > 0 of
 the cut C_r = sum_s parity(r & h_s); the corresponding partition puts
@@ -279,50 +281,111 @@ def bisection_bruteforce(edges: Sequence[tuple[int, int]], n: int) -> int:
     return best
 
 
-# Block swaps that move bit i of a word to bit i ^ (1 << j), for j = 0..5.
-_SWAPS = tuple(
-    (np.uint64(1 << j), np.uint64(mask))
-    for j, mask in enumerate((
-        0x5555555555555555,
-        0x3333333333333333,
-        0x0F0F0F0F0F0F0F0F,
-        0x00FF00FF00FF00FF,
-        0x0000FFFF0000FFFF,
-        0x00000000FFFFFFFF,
-    ))
+# The in-word permutations the mover composes, each moving bit i of a
+# word to bit i ^ v: (v, mask) for the mask-and-shift swaps v = 1, 2, 4,
+# and (v, None) for v = 8, 24, 56, which reverse the bytes of every 2-, 4-
+# or 8-byte group (bit i ^ v is in byte b ^ (v >> 3)) in one byteswap pass.
+_SWAPS = (
+    (1, np.uint64(0x5555555555555555)),
+    (2, np.uint64(0x3333333333333333)),
+    (4, np.uint64(0x0F0F0F0F0F0F0F0F)),
+    (8, None),
+    (24, None),
+    (56, None),
 )
-_BLOCK_WORDS = 1 << 12   # hops moved together per step hold about this many words
+_BLOCK_WORDS = 1 << 12   # a move table, and the hops moved together per step, hold about this many words
 _LIST_SHARE = 0.5        # node-list BFS step up to this many frontier nodes per word
 _UNPACK_OCTETS = 1 << 13   # hop_distances unpacks a level's bitmap 2**16 nodes at a time
 
 
-def _hop_blocks(t: CayleyTopology, size: int) -> list:
-    """The hops grouped `size` to a block for _moves.  Per block: the
-    word-index offsets (h >> 6) and, for each swap j, the rows whose hop
-    has bit j of h & 63 set."""
-    high = np.array(t.hops, dtype=np.int64) >> 6
-    blocks = []
-    for lo in range(0, t.m, size):
-        block = t.hops[lo : lo + size]
-        rows = [
-            np.array([i for i, h in enumerate(block) if h >> j & 1], dtype=np.intp)
-            for j in range(6)
-        ]
-        blocks.append((high[lo : lo + size], rows))
-    return blocks
+def _swap(a: np.ndarray, j: int, tmp: np.ndarray) -> None:
+    """Apply permutation j of _SWAPS to every word of `a`, in place, with
+    `tmp`, an array of a's size, as scratch."""
+    v, mask = _SWAPS[j]
+    if mask is None:
+        a.view(f"u{(v >> 3) + 1}").byteswap(inplace=True)
+        return
+    shift = np.uint64(v)
+    np.right_shift(a, shift, out=tmp)
+    tmp &= mask   # bit i + v to bit i, for bit v of i clear
+    a &= mask
+    a <<= shift
+    a |= tmp
 
 
-def _moves(bitmap: np.ndarray, blocks, word_idx: np.ndarray) -> Iterator[np.ndarray]:
-    """Per block of _hop_blocks, the words `word_idx` of `bitmap` moved along
-    each hop of the block: bit x of the word for hop h is bit x ^ h of
-    `bitmap`."""
-    for high, rows in blocks:
-        moved = bitmap[word_idx ^ high[:, None]]   # word x >> 6 -> (x ^ h) >> 6
-        for (shift, mask), sel in zip(_SWAPS, rows):
-            if sel.size:                            # bit i -> bit i ^ (h & 63)
-                part = moved[sel]
-                moved[sel] = ((part >> shift) & mask) | ((part & mask) << shift)
-        yield moved
+def _hop_blocks(t: CayleyTopology, words: int, size: int) -> tuple:
+    """The plan _moves follows for a bitmap of at most `words` words, in
+    blocks of at most `size` hops: (k, stride, blocks).
+
+    The six permutations of _SWAPS compose every in-word pattern h & 63,
+    each pattern from exactly one subset of them.  _moves fills a table of
+    2**k rows of `stride` words, stride the power of two from `words` up,
+    and k as large as keeps it within _BLOCK_WORDS words, at most 6 (64 *
+    stride words): row l is the bitmap under the subset l of the first k
+    (the mask-and-shift swaps first).  The remaining 6 - k are walked: the
+    hops are grouped by the subset of them that their pattern needs, and
+    the groups visited in Gray-code order of it, with the cheapest byte
+    reversal flipping most often, so the whole table takes one
+    permutation per walked one that changes between consecutive groups,
+    at most 2**(6 - k) - 1 in all.
+
+    Per block: the permutations j to apply to the table before it, the
+    hops, and their table offsets (h >> 6) | l * stride, l the row that
+    completes h's pattern, so the words for hop h are one gather at
+    word_idx ^ offset.
+    """
+    stride = 1 << (words - 1).bit_length()
+    k = min(max((_BLOCK_WORDS // stride).bit_length() - 1, 0), 6)
+    moves = [*range(k), *range(5, k - 1, -1)]   # the table's, then the walked, cheapest first
+    pattern = [0]   # pattern[c]: the in-word pattern of the moves[i] with bit i of c set
+    for j in moves:
+        pattern += [p ^ _SWAPS[j][0] for p in pattern]
+    subset = {p: c for c, p in enumerate(pattern)}
+    groups = {}
+    for h in t.hops:
+        groups.setdefault(subset[h & 63] >> k, []).append(h)
+    blocks, state = [], 0
+    for i in range(1 << (6 - k)):
+        g = i ^ (i >> 1)   # the Gray sequence
+        if g not in groups:
+            continue
+        group = groups[g]
+        swaps = tuple(moves[k + j] for j in range(6 - k) if (state ^ g) >> j & 1)
+        state = g
+        rows = [subset[h & 63] & ((1 << k) - 1) for h in group]
+        offsets = np.array([(h >> 6) | row * stride for h, row in zip(group, rows)], dtype=np.intp)
+        for lo in range(0, len(group), size):
+            blocks.append((swaps if lo == 0 else (), group[lo : lo + size], offsets[lo : lo + size]))
+    return k, stride, blocks
+
+
+def _moves(bitmap: np.ndarray, plan, word_idx: np.ndarray) -> Iterator[np.ndarray]:
+    """Per block of the plan _hop_blocks made, the words `word_idx` of
+    `bitmap` moved along each hop of the block: bit x of the word for hop
+    h is bit x ^ h of `bitmap`.
+
+    The table's 2**k rows are filled by doubling, row l + 2**j from row l
+    by swap j, so each in-word permutation is applied once per table, not
+    once per hop; each hop is then one gather, and `bitmap` is not
+    changed.  The gathers reuse one index and one word array, so each
+    yielded array is overwritten by the next."""
+    k, stride, blocks = plan
+    table = np.zeros(stride << k, dtype=np.uint64)
+    table[: bitmap.size] = bitmap
+    tmp = np.empty_like(table)
+    for j in range(k):
+        rows = table[stride << j : stride << (j + 1)]
+        rows[:] = table[: stride << j]
+        _swap(rows, j, tmp[: rows.size])
+    shape = (max(offsets.size for _, _, offsets in blocks), word_idx.size)
+    idx, moved = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.uint64)
+    for swaps, _, offsets in blocks:
+        for j in swaps:
+            _swap(table, j, tmp)
+        rows = offsets.size
+        np.bitwise_xor(word_idx, offsets[:, None], out=idx[:rows])
+        # every index is in range: "clip" gathers straight into `moved`, unbuffered
+        yield np.take(table, idx[:rows], out=moved[:rows], mode="clip")
 
 
 def _bitmap_nodes(bitmap: np.ndarray) -> np.ndarray:
@@ -373,8 +436,9 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
       scale with m);
     - moved: the frontier is moved along every hop into the W words that
       still hold an unvisited node (at first all N/64), max(_BLOCK_WORDS
-      // W, 1) hops at a time.  W only shrinks, so the hop blocks are
-      built once per block size the search meets.
+      // W, 1) hops at a time, through the move table of _moves.  W only
+      shrinks, so the plans are built once per block size the search
+      meets.
     The search stops once all N nodes are visited, with no empty pass.
     """
     words = max(t.N >> 6, 1)   # node x is bit x & 63 of word x >> 6
@@ -393,7 +457,7 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
             target = np.flatnonzero(~visited)
             size = max(_BLOCK_WORDS // target.size, 1)
             if size not in blocks:
-                blocks[size] = _hop_blocks(t, size)
+                blocks[size] = _hop_blocks(t, words, size)
             frontier = _grow_moved(frontier, blocks[size], target) & ~visited
         visited |= frontier
         count = int(np.bitwise_count(frontier).sum())
@@ -405,7 +469,7 @@ def hop_distances(t: CayleyTopology) -> np.ndarray:
     """BFS hop distance from node 0 to every node (uint8 vector of length N).
 
     Filled level by level from the bit-packed search, whose temporaries
-    peak at about 1.1-1.3 N bytes whatever m is; each level's bitmap is
+    peak at about 1.13-1.15 N bytes whatever m is; each level's bitmap is
     unpacked _UNPACK_OCTETS octets at a time, skipping empty ones, so the
     vector is the one N-entry array.  uint8 suffices: a spanning hop set
     has diameter <= d <= 32.
@@ -463,7 +527,7 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
     rs = list(rs)
     words = max(t.N >> 6, 1)
     batch = max(min(_BLOCK_WORDS // words, len(rs)), 1)
-    blocks = _hop_blocks(t, max(_BLOCK_WORDS // (batch * words), 1))
+    blocks = _hop_blocks(t, batch * words, max(_BLOCK_WORDS // (batch * words), 1))
     x = np.arange(min(t.N, 64), dtype=np.uint64)
     idx = np.arange(batch * words)   # the words of a batch; the first W index one colouring
     for lo in range(0, len(rs), batch):

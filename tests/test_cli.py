@@ -560,7 +560,9 @@ class TestFtableClusterVerify:
         assert f"{b * (t.N // 2)}" in out.getvalue()
         assert peak < chunks * (8 << gf2._TABLE_BITS) < t.N * 8
 
-    @pytest.mark.parametrize("command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"]])
+    @pytest.mark.parametrize(
+        "command", [["routes", "--dest", "111"], ["ftable", "--diversity", "2"], ["bisect"]]
+    )
     def test_allow_large_refused_where_unused(self, capsys, folded3_file, command):
         code, _, err = run(capsys, [command[0], folded3_file, *command[1:], "--allow-large"])
         assert code == 1 and "--allow-large" in err

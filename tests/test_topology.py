@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longhop import cli, codes, gf2, topology
@@ -130,6 +130,23 @@ def wide_hopsets(draw, max_d=10, max_m=150):
     return build(d, hops)
 
 
+# Hop sets for the mover: every in-word pattern 1..63 at d = 12, with word
+# offsets alone and mixed; a d = 9, m = 20 set; and a [46, 17] set
+MOVER_HOPSETS = [
+    build(12, [*range(1, 64), *(1 << i for i in range(6, 12)), 0b101010_000111, 0b111111_111111]),
+    random_topology(random.Random(9), 9, 20),
+    random_topology(random.Random(17), 17, 46),
+]
+
+
+def oracle_crossing_links(t, r):
+    """The links crossing the colouring x -> parity(r & x), counted edge by
+    edge over the explicit node ids: each edge {x, x ^ h} from both ends."""
+    x = np.arange(t.N)
+    colour = np.bitwise_count(x & r) & 1
+    return sum(int(np.count_nonzero(colour != colour[x ^ h])) for h in t.hops) // 2
+
+
 def scalar_cuts(t):
     return [cut_walsh(t, r) for r in range(t.N)]
 
@@ -242,6 +259,20 @@ class TestCutWalsh:
         rs = random.Random(1).sample(range(t.N), 100)
         assert topology._BLOCK_WORDS // (t.N >> 6) == 64
         assert list(crossing_links(t, rs)) == [cut_walsh(t, r) * (t.N // 2) for r in rs]
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("t", MOVER_HOPSETS, ids=lambda t: f"d{t.d}m{t.m}")
+    def test_crossing_links_matches_edges_at_every_table_size(self, k, t):
+        # one colouring alone moves through a table of 2**k rows; five
+        # together fill the working set, so their table has one row
+        rs = random.Random(t.d).sample(range(1, t.N), 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_BLOCK_WORDS", (t.N >> 6) << k)
+            assert topology._hop_blocks(t, t.N >> 6, 1)[0] == k
+            alone = [links for r in rs for links in crossing_links(t, [r])]
+            together = list(crossing_links(t, rs))
+        oracle = [oracle_crossing_links(t, r) for r in rs]
+        assert alone == together == oracle
 
 
 class TestBisection:
@@ -550,10 +581,14 @@ class TestDistances:
 
     @pytest.mark.parametrize("step", ["list", "moved"])
     @given(t=spanning_hopsets())
+    @example(t=MOVER_HOPSETS[0])
+    @example(t=MOVER_HOPSETS[1])
+    @example(t=MOVER_HOPSETS[2])
     def test_every_step_matches_oracle(self, step, t):
         # with _BLOCK_WORDS of 2 or 8 words the moved step meets several
         # block sizes in one search as the words holding unvisited nodes
-        # run out; the default size gives one block of every hop below d = 13
+        # run out, and its move table holds one row (k = 0) from d = 9 on;
+        # the default size gives one block of every hop below d = 13
         oracle = oracle_hop_distances(t).tolist()
         for block_words in (topology._BLOCK_WORDS, 2, 8):
             with forced_bfs_step(step) as taken, pytest.MonkeyPatch.context() as mp:
@@ -564,6 +599,32 @@ class TestDistances:
             assert summary.histogram == tuple(np.bincount(dist).tolist())
             assert set(taken) <= {step}
             assert len(taken) == 2 * int(dist.max())   # no pass after the last level
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("t", MOVER_HOPSETS, ids=lambda t: f"d{t.d}m{t.m}")
+    def test_moves_match_per_hop_oracle(self, k, t):
+        # a table of 2**k rows: k = 0 walks every in-word pattern, k = 3
+        # tables the mask-and-shift swaps and walks the byte reversals; 5
+        # hops a block split the larger pattern groups
+        words = t.N >> 6
+        rng = np.random.default_rng(t.d)
+        bitmap = rng.integers(0, 1 << 64, words, dtype=np.uint64, endpoint=False)
+        bits = np.unpackbits(bitmap.astype("<u8").view(np.uint8), bitorder="little")
+        target = np.flatnonzero(rng.random(words) < 0.5)
+        x = np.arange(64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_BLOCK_WORDS", words << k)
+            plan = topology._hop_blocks(t, words, 5)
+        assert plan[0] == k
+        moved_hops = []
+        for (_, hops, _), moved in zip(plan[2], topology._moves(bitmap, plan, target)):
+            assert moved.shape == (len(hops), target.size)
+            for h, row in zip(hops, moved):
+                # bit x of word w for hop h is bit (64 * w + x) ^ h of the bitmap
+                source = bits[((target[:, None] << 6) | x) ^ h].astype(np.uint64)
+                assert row.tolist() == np.bitwise_or.reduce(source << x.astype(np.uint64), axis=1).tolist()
+                moved_hops.append(h)
+        assert sorted(moved_hops) == sorted(t.hops)
 
     @pytest.mark.parametrize("step", ["list", "moved"])
     @pytest.mark.parametrize(
