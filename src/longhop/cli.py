@@ -6,10 +6,12 @@ alone; help, an unknown or missing command, or a top-level argument other
 than --seed builds them all.  Exit codes: 0 success, 1 input error,
 2 infeasibility.  Data output is deterministic: identical inputs produce
 byte-identical output, integers print exactly, reals with 6 decimals.  The
-tables with one row per d-bit word (bisect --spectrum, cluster, ftable)
-are rendered by gf2.text_rows and written as they are made, never held
-whole.  A command opens its -o file before its work, so an unwritable path
-is refused at once, and a run that then fails removes the file.
+tables with one row per d-bit word (the text bisect --spectrum, cluster,
+ftable) are rendered by gf2.text_rows, the JSON spectrum by its own
+renderer, and written as they are made, never held whole.  A command opens
+its -o file before its work, so an unwritable path is refused at once, and
+a run that then fails removes the file.  A reader that closes stdout early
+(`| head`) gets one error line and exit code 1.
 """
 from __future__ import annotations
 
@@ -261,7 +263,7 @@ def _cmd_cluster(args) -> int:
         clustering = topology.cluster(t, args.levels)
         # the labels in runs of n nodes: x = lo + y, y < n, has label(lo) XOR label(y)
         n = min(gf2.TEXT_ROWS, t.N)
-        first = clustering.labels(0, n)
+        first = clustering.labels(n)
         labels = ((first ^ clustering.label(lo),) for lo in range(0, t.N, n))
         rows = gf2.text_rows(t.d, labels, [(0, (1 << args.levels) - 1)])
         f.writelines(itertools.chain(["node,label\n"], rows))
@@ -506,7 +508,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("verify needs a hop-set file or --edge-list")
         if args.command == "verify" and args.hopfile and args.edge_list:
             raise ValueError("verify takes a hop-set file or --edge-list, not both")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # inside the try: a reader gone by now is a broken pipe too
+        return status
+    except BrokenPipeError:
+        # the reader left: on the null device, the exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: cannot write standard output: Broken pipe\n")
+        return 1
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

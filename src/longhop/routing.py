@@ -76,12 +76,12 @@ class Unroutable(RuntimeError):
         self.achievable = achievable
 
 
-def path_edges(t: CayleyTopology, path: tuple[int, ...], start: int = 0) -> frozenset[int]:
-    """Undirected edges of the walk of `path` from `start`, as integer ids:
+def path_edges(t: CayleyTopology, path: tuple[int, ...]) -> frozenset[int]:
+    """Undirected edges of the walk of `path` from node 0, as integer ids:
     port p from node x is the edge min(x, x ^ h_p) * m + p."""
     hops, m = t.hops, t.m
     edges = []
-    x = start
+    x = 0
     for p in path:
         if not 1 <= p <= m:
             raise ValueError(f"port {p} out of range 1..{m}")
@@ -211,24 +211,16 @@ def disjoint_paths(
     order, then exactly one hop longer, and so on up to shortest +
     extra_length.  Raises Unroutable (carrying the achievable count) if Q
     paths are not found within the cap.
-    """
-    _check_diversity(t, q)
-    if not 0 < yrel < t.N:
-        raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
-    steps = _StepLists(t, hop_distances(t))
-    return _disjoint_paths(t, yrel, q, extra_length, steps)
-
-
-def _disjoint_paths(
-    t: CayleyTopology, yrel: int, q: int, extra_length: int, steps: _StepLists
-) -> list[tuple[int, ...]]:
-    """disjoint_paths for validated arguments, given the topology's step lists.
 
     Path 1, the lexicographically first shortest walk, steps on the lowest
     closer port at every node, so a descent finds it without a search.
     _walks_exact then skips and takes edges in `used`, so each walk it
     yields is disjoint from those already chosen and is accepted.
     """
+    _check_diversity(t, q)
+    if not 0 < yrel < t.N:
+        raise ValueError(f"relative destination must be in 1..{t.N - 1}, got {yrel}")
+    steps = _StepLists(t, hop_distances(t))
     base = steps.dist[yrel]
     first, rest = [], yrel
     while rest:
@@ -259,12 +251,11 @@ class ForwardingTable:
     the table as CSV text, one row per (selector, Yrel).
     """
 
-    d: int
-    q: int
-    ports: np.ndarray
+    ports: np.ndarray   # (q, N)
 
     def egress(self, selector: int, yrel: int) -> int:
-        if not (1 <= selector <= self.q and 0 < yrel < self.ports.shape[1]):
+        q, n = self.ports.shape
+        if not (1 <= selector <= q and 0 < yrel < n):
             raise KeyError((selector, yrel))
         return int(self.ports[selector - 1, yrel])
 
@@ -273,9 +264,10 @@ class ForwardingTable:
         each selector's rows, rendered by gf2.text_rows with the lead "s,";
         destination 0's row is dropped."""
         yield "selector,destination,egress_port\n"
+        d = self.ports.shape[1].bit_length() - 1   # N = 2**d destinations
         bounds = [(0, int(self.ports.max()))]
         for s, row in enumerate(self.ports, 1):
-            rows = gf2.text_rows(self.d, [(row,)], bounds, lead=f"{s},")
+            rows = gf2.text_rows(d, [(row,)], bounds, lead=f"{s},")
             yield next(rows).split("\n", 1)[1]   # destination 0 is not in the table
             yield from rows
 
@@ -311,38 +303,28 @@ def forwarding_table(t: CayleyTopology, q: int) -> ForwardingTable:
         key += port   # (key, p) as one number below 3 * m: no two ports tie
         ports[:, lo:lo + len(z)] = (np.sort(key, axis=1)[:, :q] % t.m).T + 1
     ports[:, 0] = 0   # destination 0 (self) has no entry
-    return ForwardingTable(d=t.d, q=q, ports=ports)
+    return ForwardingTable(ports)
 
 
-def simulate_forwarding(
-    t: CayleyTopology,
-    table: ForwardingTable,
-    x: int,
-    y: int,
-    s: int,
-    *,
-    max_steps: int | None = None,
-) -> list[int]:
+def simulate_forwarding(t: CayleyTopology, table: ForwardingTable, x: int, y: int, s: int) -> list[int]:
     """Walk the table from x to y with selector s; returns the node trace.
 
     The selector picks the first egress; subsequent hops use selector 1,
     whose entries follow shortest paths and therefore strictly reduce the
     remaining distance.  The first hop leaves at most dist + 1 to go, and
     a spanning hop set has diameter at most d, so a walk arrives within
-    d + 2 steps, the default max_steps.
+    d + 2 steps.
     """
     if x == y:
         raise ValueError("source equals destination")
-    if max_steps is None:
-        max_steps = t.d + 2
     trace = [x]
     node = x
     selector = s
-    for _ in range(max_steps):
+    for _ in range(t.d + 2):
         port = table.egress(selector, node ^ y)
         node ^= t.hops[port - 1]
         trace.append(node)
         if node == y:
             return trace
         selector = 1
-    raise RuntimeError(f"forwarding did not converge within {max_steps} steps")
+    raise RuntimeError(f"forwarding did not converge within {t.d + 2} steps")

@@ -313,9 +313,11 @@ def _swap(a: np.ndarray, j: int, tmp: np.ndarray) -> None:
     a |= tmp
 
 
-def _hop_blocks(t: CayleyTopology, words: int, size: int) -> tuple:
+def _hop_blocks(t: CayleyTopology, words: int) -> tuple:
     """The plan _moves follows for a bitmap of at most `words` words, in
-    blocks of at most `size` hops: (k, stride, blocks).
+    blocks of at most max(_BLOCK_WORDS // words, 1) hops, whose gathers
+    hold at most _BLOCK_WORDS words, or one hop's where `words` is more:
+    (k, stride, blocks).
 
     The six permutations of _SWAPS compose every in-word pattern h & 63,
     each pattern from exactly one subset of them.  _moves fills a table of
@@ -344,6 +346,7 @@ def _hop_blocks(t: CayleyTopology, words: int, size: int) -> tuple:
     groups = {}
     for h in t.hops:
         groups.setdefault(subset[h & 63] >> k, []).append(h)
+    size = max(_BLOCK_WORDS // words, 1)
     blocks, state = [], 0
     for i in range(1 << (6 - k)):
         g = i ^ (i >> 1)   # the Gray sequence
@@ -410,12 +413,12 @@ def _grow_listed(frontier: np.ndarray, hops: np.ndarray, per: int) -> np.ndarray
     return reach
 
 
-def _grow_moved(frontier: np.ndarray, blocks, target: np.ndarray) -> np.ndarray:
+def _grow_moved(frontier: np.ndarray, plan, target: np.ndarray) -> np.ndarray:
     """Moved step: the bitmap of every node one hop from the frontier, in
     the words `target` (zero elsewhere), from the frontier moved along
-    every hop."""
+    every hop by the _hop_blocks plan `plan`."""
     reach = np.zeros(target.size, dtype=np.uint64)
-    for moved in _moves(frontier, blocks, target):
+    for moved in _moves(frontier, plan, target):
         reach |= np.bitwise_or.reduce(moved, axis=0)
     grown = np.zeros_like(frontier)
     grown[target] = reach
@@ -434,17 +437,18 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
       np.bitwise_or.at sets the candidates' bits, at most max(N/64, m) at
       a time (a candidate costs about twice a moved word, and both steps
       scale with m);
-    - moved: the frontier is moved along every hop into the W words that
-      still hold an unvisited node (at first all N/64), max(_BLOCK_WORDS
-      // W, 1) hops at a time, through the move table of _moves.  W only
-      shrinks, so the plans are built once per block size the search
-      meets.
+    - moved: the frontier is moved along every hop into the words that
+      still hold an unvisited node (at first all N/64), through the move
+      table of _moves.  The search makes one _hop_blocks plan, on its
+      first moved step, sized for all N/64 words: from d = 18 on one hop
+      a block, and below that the same blocks however few words a later
+      level targets.
     The search stops once all N nodes are visited, with no empty pass.
     """
     words = max(t.N >> 6, 1)   # node x is bit x & 63 of word x >> 6
     hops = np.array(t.hops, dtype=np.int64)
     per = max(words // t.m, 1)   # frontier nodes per node-list chunk
-    blocks = {}                  # _hop_blocks by hops per block
+    plan = None
     frontier = np.zeros(words, dtype=np.uint64)
     frontier[0] = 1
     visited = frontier.copy()
@@ -454,11 +458,8 @@ def _levels(t: CayleyTopology) -> Iterator[np.ndarray]:
         if count <= _LIST_SHARE * words:
             frontier = _grow_listed(frontier, hops, per) & ~visited
         else:
-            target = np.flatnonzero(~visited)
-            size = max(_BLOCK_WORDS // target.size, 1)
-            if size not in blocks:
-                blocks[size] = _hop_blocks(t, words, size)
-            frontier = _grow_moved(frontier, blocks[size], target) & ~visited
+            plan = plan or _hop_blocks(t, words)
+            frontier = _grow_moved(frontier, plan, np.flatnonzero(~visited)) & ~visited
         visited |= frontier
         count = int(np.bitwise_count(frontier).sum())
         seen += count
@@ -488,25 +489,28 @@ def hop_distances(t: CayleyTopology) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceSummary:
-    diameter: int
-    mean: float              # over the N-1 destinations other than the source
     histogram: tuple[int, ...]  # histogram[k] = number of nodes at distance k
+
+    @property
+    def diameter(self) -> int:
+        return len(self.histogram) - 1
+
+    @property
+    def mean(self) -> float:
+        """The mean over the N-1 destinations other than the source."""
+        return sum(k * count for k, count in enumerate(self.histogram)) / (sum(self.histogram) - 1)
 
 
 def distances(t: CayleyTopology) -> DistanceSummary:
-    """Diameter, average hop count and distance histogram from node 0.
+    """The distance histogram from node 0, whose diameter and average hop
+    count the summary reads off it.
 
     Vertex symmetry makes the single-source view representative of every
     node.  The average excludes the source itself (N-1 destinations).  The
     histogram is the popcount of each BFS level's bitmap, so no N-entry
     array is built.
     """
-    histogram = tuple(int(np.bitwise_count(new).sum()) for new in _levels(t))
-    return DistanceSummary(
-        diameter=len(histogram) - 1,
-        mean=sum(k * count for k, count in enumerate(histogram)) / (t.N - 1),
-        histogram=histogram,
-    )
+    return DistanceSummary(tuple(int(np.bitwise_count(new).sum()) for new in _levels(t)))
 
 
 def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
@@ -527,7 +531,7 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
     rs = list(rs)
     words = max(t.N >> 6, 1)
     batch = max(min(_BLOCK_WORDS // words, len(rs)), 1)
-    blocks = _hop_blocks(t, batch * words, max(_BLOCK_WORDS // (batch * words), 1))
+    plan = _hop_blocks(t, batch * words)
     x = np.arange(min(t.N, 64), dtype=np.uint64)
     idx = np.arange(batch * words)   # the words of a batch; the first W index one colouring
     for lo in range(0, len(rs), batch):
@@ -537,7 +541,7 @@ def crossing_links(t: CayleyTopology, rs: Iterable[int]) -> Iterator[int]:
         flip = (np.bitwise_count(idx[:words] & (r >> 6)) & 1).astype(bool)
         colour = np.where(flip, ~low[:, None], low[:, None]).ravel()
         counts = np.zeros(r.size, dtype=np.int64)
-        for moved in _moves(colour, blocks, idx[: colour.size]):
+        for moved in _moves(colour, plan, idx[: colour.size]):
             moved ^= colour
             popcounts = np.bitwise_count(moved).reshape(-1, r.size, words)   # (hops, R, W)
             counts += popcounts.sum(axis=(0, 2), dtype=np.int64)
@@ -561,16 +565,14 @@ class Clustering:
         return sum(((r & x).bit_count() & 1) << (self.levels - 1 - i)
                    for i, r in enumerate(self.splits))
 
-    def labels(self, lo: int = 0, n: int | None = None) -> np.ndarray:
-        """The int64 labels of nodes lo..lo+n-1 (default: all 2**d), for n a
-        power of two and lo a multiple of n.  Nodes lo + y, y < n, share
-        the bits of lo, so their labels are label(lo) XOR those of the
-        first block, filled by doubling."""
+    def labels(self, n: int | None = None) -> np.ndarray:
+        """The int64 labels of nodes 0..n-1 (default: all 2**d), for n a
+        power of two, filled by doubling.  Labels are linear, so the nodes
+        lo + y of an aligned block of n, y < n, have label(lo) XOR these."""
         n = 1 << self.d if n is None else n
-        if n < 1 or n & (n - 1) or lo % n or not 0 <= lo <= (1 << self.d) - n:
-            raise ValueError(f"({lo}, {n}) is not an aligned power-of-two block of 2**{self.d}")
-        labels = np.empty(n, dtype=np.int64)
-        labels[0] = self.label(lo)
+        if n < 1 or n & (n - 1) or n > 1 << self.d:
+            raise ValueError(f"{n} is not a power of two in 1..2**{self.d}")
+        labels = np.zeros(n, dtype=np.int64)
         for j in range(n.bit_length() - 1):   # label(y ^ 2**j) = label(y) ^ label(2**j)
             np.bitwise_xor(labels[: 1 << j], self.label(1 << j), out=labels[1 << j : 2 << j])
         return labels

@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -874,6 +875,13 @@ class TestNarrowParser:
 
 
 class TestFreshProcess:
+    @staticmethod
+    def child_env():
+        """This environment, with the longhop under test first on PYTHONPATH."""
+        package_root = os.path.dirname(os.path.dirname(longhop.__file__))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
     # Run in a fresh interpreter: prints, per command, its exit status and
     # whether numpy.ma has been imported by then.
     SCRIPT = """
@@ -909,9 +917,7 @@ for argv in json.loads(sys.argv[1]):
             ["verify", hops],
             ["verify", "--edge-list", str(edges)],
         ]
-        package_root = os.path.dirname(os.path.dirname(longhop.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = self.child_env()
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
                               capture_output=True, text=True, env=env, check=True)
         report = [json.loads(line) for line in proc.stderr.splitlines() if line.startswith("[")]
@@ -937,9 +943,7 @@ for argv in json.loads(sys.argv[1]):
 """
         hops = str(DATA / "folded3.hops")
         commands = [["routes", hops, "--dest", "110", "--diversity", "2"], ["frobnicate"]]
-        package_root = os.path.dirname(os.path.dirname(longhop.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = self.child_env()
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, env=env, check=True)
         at_import, *report = [json.loads(line) for line in proc.stderr.splitlines()
@@ -949,3 +953,42 @@ for argv in json.loads(sys.argv[1]):
             [0, ["longhop", "longhop routes"]],
             [1, ["longhop", *(f"longhop {name}" for name in cli._COMMANDS)]],
         ]
+
+    def test_closed_stdout_is_one_error_line(self, tmp_path):
+        # each output outgrows a pipe buffer, so the reader's close breaks
+        # the pipe while the command still writes
+        g48 = tmp_path / "g48.hops"
+        code = longhop.codes.parse_generator((DATA / "g48_13_16.txt").read_text())
+        g48.write_text(topology.emit_hopset(longhop.construct.code_to_network(code)))
+        env = self.child_env()
+        # unbuffered, the interpreter's text stdout drops the rest of a
+        # write the close cuts short and reports no error
+        env.pop("PYTHONUNBUFFERED", None)
+        for argv, first in [(["bisect", "--spectrum"], "d: 13\n"),
+                            (["cluster", "--levels", "3"], "node,label\n"),
+                            (["ftable", "--diversity", "4"], "selector,destination,egress_port\n")]:
+            child = subprocess.Popen([sys.executable, "-m", "longhop", *argv, str(g48)], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            assert child.stdout.readline() == first
+            child.stdout.close()
+            err = child.stderr.read()
+            child.stderr.close()
+            assert (child.wait(), err) == (1, "error: cannot write standard output: Broken pipe\n")
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n```\nlonghop bisect ", 1)[1].split("\n```", 1)[0]
+    synopsis = {}   # command -> its `longhop NAME` line and the indented lines after it
+    for line in ("longhop bisect " + block).splitlines():
+        if line.startswith("longhop "):
+            name = line.split()[1]
+        synopsis[name] = synopsis.get(name, "") + line + "\n"
+    assert list(synopsis) == list(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        parser = cli._build_parser(name)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[name]._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert any(re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", synopsis[name])
+                           for option in action.option_strings), (name, action.option_strings)

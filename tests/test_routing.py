@@ -308,7 +308,7 @@ class TestDisjointPaths:
 
     def test_edge_ids_are_undirected(self, cube3):
         # port p from node x is edge min(x, x ^ h_p) * m + p, whichever end walks it
-        assert path_edges(cube3, (1,), start=1) == path_edges(cube3, (1,)) == {1}
+        assert path_edges(cube3, (1, 1)) == path_edges(cube3, (1,)) == {1}
         assert path_edges(cube3, (2, 1)) == {0 * 3 + 2, 2 * 3 + 1}
 
     def test_search_takes_the_chosen_edges(self, cube3, monkeypatch):
@@ -347,9 +347,8 @@ class TestDisjointPaths:
         for d in range(3, 8):
             for _ in range(3):
                 t = random_topology(rng, d, rng.randint(d, min(d + 4, (1 << d) - 1)))
-                steps = routing._StepLists(t, hop_distances(t))
                 for yrel in range(1, t.N):
-                    descent = routing._disjoint_paths(t, yrel, 1, 0, steps)
+                    descent = disjoint_paths(t, yrel, 1, extra_length=0)
                     assert descent == [shortest_paths(t, yrel)[0]], (t.hops, yrel)
 
     def test_diversity_bounds(self, cube3):

@@ -268,7 +268,7 @@ class TestCutWalsh:
         rs = random.Random(t.d).sample(range(1, t.N), 5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(topology, "_BLOCK_WORDS", (t.N >> 6) << k)
-            assert topology._hop_blocks(t, t.N >> 6, 1)[0] == k
+            assert topology._hop_blocks(t, t.N >> 6)[0] == k
             alone = [links for r in rs for links in crossing_links(t, [r])]
             together = list(crossing_links(t, rs))
         oracle = [oracle_crossing_links(t, r) for r in rs]
@@ -603,9 +603,10 @@ class TestDistances:
     @pytest.mark.parametrize("k", [0, 3])
     @pytest.mark.parametrize("t", MOVER_HOPSETS, ids=lambda t: f"d{t.d}m{t.m}")
     def test_moves_match_per_hop_oracle(self, k, t):
-        # a table of 2**k rows: k = 0 walks every in-word pattern, k = 3
-        # tables the mask-and-shift swaps and walks the byte reversals; 5
-        # hops a block split the larger pattern groups
+        # a table of 2**k rows and blocks of 2**k hops: k = 0 walks every
+        # in-word pattern a hop at a time, which splits every group of
+        # hops that share one; k = 3 tables the mask-and-shift swaps and
+        # walks the byte reversals
         words = t.N >> 6
         rng = np.random.default_rng(t.d)
         bitmap = rng.integers(0, 1 << 64, words, dtype=np.uint64, endpoint=False)
@@ -614,8 +615,9 @@ class TestDistances:
         x = np.arange(64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(topology, "_BLOCK_WORDS", words << k)
-            plan = topology._hop_blocks(t, words, 5)
+            plan = topology._hop_blocks(t, words)
         assert plan[0] == k
+        assert max(len(hops) for _, hops, _ in plan[2]) <= 1 << k
         moved_hops = []
         for (_, hops, _), moved in zip(plan[2], topology._moves(bitmap, plan, target)):
             assert moved.shape == (len(hops), target.size)
@@ -785,13 +787,14 @@ class TestCluster:
         labels = clustering.labels()
         n = 1 << data.draw(st.integers(0, t.d))
         lo = n * data.draw(st.integers(0, t.N // n - 1))
-        assert clustering.labels(lo, n).tolist() == labels[lo : lo + n].tolist()
+        # labels are linear: an aligned block is the first one XOR label(lo)
+        assert (clustering.labels(n) ^ clustering.label(lo)).tolist() == labels[lo : lo + n].tolist()
         assert clustering.label(lo) == labels[lo]
 
-    @pytest.mark.parametrize("lo,n", [(0, 3), (0, 0), (2, 4), (-4, 4), (8, 4), (0, 16)])
-    def test_unaligned_block_refused(self, folded3, lo, n):
-        with pytest.raises(ValueError, match="aligned power-of-two block"):
-            cluster(folded3, 2).labels(lo, n)
+    @pytest.mark.parametrize("n", [3, 0, -4, 6, 16])
+    def test_block_size_refused(self, folded3, n):
+        with pytest.raises(ValueError, match="not a power of two in 1..2"):
+            cluster(folded3, 2).labels(n)
 
     def test_levels_out_of_range(self, folded3):
         with pytest.raises(ValueError):
